@@ -273,42 +273,88 @@ def concat_rows(tensors) -> Tensor:
     return tape._record(value, tuple(tensors), vjp, "concat_rows")
 
 
-def hop_combine(signals: "list[Tensor]", weights: "list[Tensor]",
-                bias: "Tensor | None" = None) -> Tensor:
-    """Fused sum_k signals[k] @ weights[k] (+ bias row) as a single tape node.
+def tagcn(x: Tensor, weights: "list[Tensor]", bias: "Tensor | None" = None,
+          a=None, a_t=None) -> Tensor:
+    """Fused sum_k A^k x W_k (+ bias row), k = 0..len(weights)-1, as one tape node.
 
-    Equivalent to composing matmul/add from the suite, but one node per layer
-    keeps the per-operation Python overhead out of deep-stack training loops.
-    The signals are the precomputed k-hop aggregates of one layer input.
+    ``a`` is the (sparse or dense) graph operator and ``a_t`` its transpose,
+    which defaults to ``a.T``; neither is needed when there is only W_0. The
+    forward pass builds s_k = A s_(k-1) by repeated products, so no power of
+    A is ever formed. The vjp is gW_k = s_k^T g and, Horner-style,
+    gx = g W_0^T + A^T (g W_1^T + A^T (g W_2^T + ...)).
     """
-    if len(signals) != len(weights) or not signals:
-        raise ValueError("need one weight matrix per hop signal")
-    tape = _same_tape(*signals, *weights, *([bias] if bias is not None else []))
-    for s, w in zip(signals, weights):
-        if s.shape[1] != w.shape[0] or w.shape != weights[0].shape:
-            raise DimensionError(f"hop_combine mismatch: {s.shape} @ {w.shape}")
-    sig_values = [s.value for s in signals]
+    if not weights or (len(weights) > 1 and a is None):
+        raise ValueError("tagcn needs W_0, plus a graph operator for each further hop")
+    tape = _same_tape(x, *weights, *([bias] if bias is not None else []))
+    for w in weights:
+        if w.shape != weights[0].shape or x.shape[1] != w.shape[0]:
+            raise DimensionError(f"tagcn mismatch: {x.shape} @ {w.shape}")
+    if a_t is None and a is not None:
+        a_t = a.T
     w_values = [w.value for w in weights]
-    out = sig_values[0] @ w_values[0]
-    for sv, wv in zip(sig_values[1:], w_values[1:]):
+    signals = [x.value]
+    for _ in w_values[1:]:
+        signals.append(a @ signals[-1])
+    out = signals[0] @ w_values[0]
+    for sv, wv in zip(signals[1:], w_values[1:]):
         out += sv @ wv
     if bias is not None:
         if bias.shape != (1, out.shape[1]):
             raise DimensionError(f"bias shape {bias.shape} != (1, {out.shape[1]})")
         out += bias.value
-    inputs = tuple(signals) + tuple(weights) + ((bias,) if bias is not None else ())
+    inputs = (x, *weights) + ((bias,) if bias is not None else ())
 
     def vjp(g):
-        grads = []
-        for sv, wv, s in zip(sig_values, w_values, signals):
-            grads.append(g @ wv.T if s.requires_grad else None)
-        for sv, w in zip(sig_values, weights):
-            grads.append(sv.T @ g if w.requires_grad else None)
+        gx = None
+        if x.requires_grad:
+            gx = g @ w_values[-1].T
+            for wv in reversed(w_values[:-1]):
+                gx = a_t @ gx
+                gx += g @ wv.T
+        grads = [gx]
+        grads += [sv.T @ g if w.requires_grad else None for sv, w in zip(signals, weights)]
         if bias is not None:
             grads.append(g.sum(axis=0, keepdims=True) if bias.requires_grad else None)
         return grads
 
-    return tape._record(out, inputs, vjp, "hop_combine")
+    return tape._record(out, inputs, vjp, "tagcn")
+
+
+def sparse_matmul(m, x: Tensor) -> Tensor:
+    """Constant (sparse or dense) matrix times a tensor: m @ x as one tape node."""
+    if m.shape[1] != x.shape[0]:
+        raise DimensionError(f"sparse_matmul mismatch: {m.shape} @ {x.shape}")
+    m_t = m.T
+
+    def vjp(g):
+        return (m_t @ g,)
+
+    return x.tape._record(np.asarray(m @ x.value), (x,), vjp, "sparse_matmul")
+
+
+def weighted_gather(a: Tensor, indices, weights) -> Tensor:
+    """Row r of the result is sum_j weights[r, j] * a[indices[r, j]].
+
+    The terms are added left to right, j = 0, 1, ..., so the values match the
+    same expression written out with numpy fancy indexing bit for bit.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.float64)
+    if idx.ndim != 2 or idx.shape != w.shape:
+        raise DimensionError(f"indices {idx.shape} and weights {w.shape} must match (n, m)")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise DimensionError(f"gather index out of range for {a.shape[0]} rows")
+    rows, cols = a.shape
+    out = w[:, 0, None] * a.value[idx[:, 0]]
+    for j in range(1, idx.shape[1]):
+        out = out + w[:, j, None] * a.value[idx[:, j]]
+
+    def vjp(g):
+        grad = np.zeros((rows, cols))
+        np.add.at(grad, idx.reshape(-1), (w[:, :, None] * g[:, None, :]).reshape(-1, cols))
+        return (grad,)
+
+    return a.tape._record(out, (a,), vjp, "weighted_gather")
 
 
 def min_index_rows(d: Tensor):

@@ -15,11 +15,13 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
-from .autodiff import (Tape, Tensor, gather_rows, matmul, reduce_sum,
-                       scalar_mul, square)
+from .autodiff import (Tape, Tensor, gather_rows, reduce_sum, scalar_mul,
+                       sparse_matmul, square, weighted_gather)
 from .errors import (DegenerateMeshError, DimensionError, EmptyInputError,
                      NumericalError)
+from .mesh import adjacency_csr
 from .network import BlockOutput
 
 
@@ -56,9 +58,9 @@ def sample_surface(vertices, faces, n: int, rng: np.random.Generator) -> SampleB
     """Draw ``n`` area-uniform points from a triangle mesh surface.
 
     ``vertices`` may be a Tensor, in which case the points are produced by a
-    recorded matrix product (constant coefficients times vertices) and carry
-    gradients; a plain array yields plain points. Draw order per call: face
-    selectors, then u, then w.
+    recorded weighted gather of each sample's three face corners and carry
+    gradients; a plain array yields the same points as a plain array. Draw
+    order per call: face selectors, then u, then w.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -80,12 +82,7 @@ def sample_surface(vertices, faces, n: int, rng: np.random.Generator) -> SampleB
     c1, c2, c3 = barycentric_coefficients(u, w)
     tri = faces[face_idx]
     if isinstance(vertices, Tensor):
-        coeff = np.zeros((n, values.shape[0]))
-        rows = np.arange(n)
-        coeff[rows, tri[:, 0]] = c1
-        coeff[rows, tri[:, 1]] = c2
-        coeff[rows, tri[:, 2]] = c3
-        points = matmul(vertices.tape.leaf(coeff), vertices)
+        points = weighted_gather(vertices, tri, np.stack([c1, c2, c3], axis=1))
     else:
         points = (c1[:, None] * values[tri[:, 0]]
                   + c2[:, None] * values[tri[:, 1]]
@@ -183,16 +180,16 @@ def chamfer_loss(pred, target) -> Tensor:
     return reduce_sum(fwd) + reduce_sum(rev)
 
 
+def _neighbor_mean(n_vertices: int, edges: np.ndarray) -> sp.csr_array:
+    mean = adjacency_csr(n_vertices, edges)
+    deg = np.diff(mean.indptr)
+    mean.data /= np.repeat(deg, deg)
+    return mean
+
+
 def neighbor_mean_matrix(n_vertices: int, edges: np.ndarray) -> np.ndarray:
     """Row p holds 1/|N(p)| on p's neighbors; isolated vertices get zero rows."""
-    a = np.zeros((n_vertices, n_vertices))
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    a[edges[:, 0], edges[:, 1]] = 1.0
-    a[edges[:, 1], edges[:, 0]] = 1.0
-    deg = a.sum(axis=1)
-    connected = deg > 0
-    a[connected] /= deg[connected, None]
-    return a
+    return _neighbor_mean(n_vertices, edges).toarray()
 
 
 def laplacian_loss(before: Tensor, after: Tensor, edges: np.ndarray) -> Tensor:
@@ -201,16 +198,15 @@ def laplacian_loss(before: Tensor, after: Tensor, edges: np.ndarray) -> Tensor:
     The Laplacian coordinate of p is its position minus the mean of its
     neighbors; both meshes must share the topology described by ``edges``.
     Isolated vertices contribute nothing (their coordinate is undefined).
+    The operator L = I - mean is one sparse matrix applied to after - before.
     """
     if before.shape != after.shape:
         raise DimensionError(f"topology mismatch: {before.shape} vs {after.shape}")
     n = before.shape[0]
-    mean = neighbor_mean_matrix(n, edges)
-    lap = np.eye(n) - mean
-    lap[mean.sum(axis=1) == 0.0] = 0.0  # exclude isolated vertices entirely
-    lap_t = before.tape.leaf(lap)
-    delta = matmul(lap_t, after) - matmul(lap_t, before)
-    return reduce_sum(square(delta))
+    mean = _neighbor_mean(n, edges)
+    connected = (np.diff(mean.indptr) > 0).astype(np.float64)  # isolated rows stay zero
+    lap = sp.csr_array((connected, np.arange(n), np.arange(n + 1)), shape=(n, n)) - mean
+    return reduce_sum(square(sparse_matmul(lap, after - before)))
 
 
 def edge_loss(vertices: Tensor, edges: np.ndarray) -> Tensor:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DataFormatError, DimensionError, EmptyInputError
 
@@ -59,14 +60,7 @@ class TriangleMesh:
     def edges(self) -> np.ndarray:
         """Unique undirected edges as (min, max) pairs, lexicographically sorted."""
         if self._edges is None:
-            if self.n_faces == 0:
-                e = np.empty((0, 2), dtype=np.int64)
-            else:
-                e = np.concatenate(
-                    [self.faces[:, [0, 1]], self.faces[:, [1, 2]], self.faces[:, [2, 0]]]
-                )
-                e.sort(axis=1)
-                e = np.unique(e, axis=0)
+            e = unique_edges(self.faces, self.n_vertices)
             e.setflags(write=False)
             self._edges = e
         return self._edges
@@ -92,11 +86,8 @@ class TriangleMesh:
         """True when every edge is shared by exactly two faces."""
         if self.n_faces == 0:
             return False
-        e = np.concatenate(
-            [self.faces[:, [0, 1]], self.faces[:, [1, 2]], self.faces[:, [2, 0]]]
-        )
-        e.sort(axis=1)
-        _, counts = np.unique(e, axis=0, return_counts=True)
+        _, counts = np.unique(_face_edge_keys(self.faces, self.n_vertices),
+                              return_counts=True)
         return bool((counts == 2).all())
 
     def replace_vertices(self, vertices) -> "TriangleMesh":
@@ -110,27 +101,39 @@ class TriangleMesh:
         return f"TriangleMesh(V={self.n_vertices}, F={self.n_faces})"
 
 
+def _face_edge_keys(faces: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Key min * n + max of every face edge (i, j), (j, k), (k, i), face by face."""
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    a = faces.reshape(-1)
+    b = faces[:, [1, 2, 0]].reshape(-1)
+    return np.minimum(a, b) * n_vertices + np.maximum(a, b)
+
+
+def unique_edges(faces: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Unique undirected face edges as (min, max) pairs, lexicographically sorted."""
+    return np.stack(np.divmod(np.unique(_face_edge_keys(faces, n_vertices)), n_vertices),
+                    axis=1)
+
+
 def subdivide_topology(faces: np.ndarray, edges: np.ndarray, n_vertices: int) -> np.ndarray:
     """Faces of the 1-to-4 midpoint split.
 
     The midpoint of edge rank r (in the lex-sorted edge order) becomes vertex
     n_vertices + r. Each face (i, j, k) is replaced by three corner triangles
-    and one center triangle, preserving orientation.
+    (i, mij, mki), (j, mjk, mij), (k, mki, mjk) and the center triangle
+    (mij, mjk, mki), preserving orientation.
     """
-    rank = {(int(a), int(b)): n_vertices + r for r, (a, b) in enumerate(edges)}
-
-    def mid(a, b):
-        return rank[(a, b) if a < b else (b, a)]
-
-    out = np.empty((4 * len(faces), 3), dtype=np.int64)
-    for t, (i, j, k) in enumerate(faces):
-        i, j, k = int(i), int(j), int(k)
-        mij, mjk, mki = mid(i, j), mid(j, k), mid(k, i)
-        out[4 * t + 0] = (i, mij, mki)
-        out[4 * t + 1] = (j, mjk, mij)
-        out[4 * t + 2] = (k, mki, mjk)
-        out[4 * t + 3] = (mij, mjk, mki)
-    return out
+    faces = np.asarray(faces, dtype=np.int64).reshape(-1, 3)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edge_keys = edges[:, 0] * n_vertices + edges[:, 1]
+    keys = _face_edge_keys(faces, n_vertices)
+    rank = np.minimum(np.searchsorted(edge_keys, keys), max(len(edges) - 1, 0))
+    if keys.size and (not len(edges) or not np.array_equal(edge_keys[rank], keys)):
+        raise ValueError("a face edge is missing from the edge list")
+    mij, mjk, mki = (n_vertices + rank).reshape(-1, 3).T
+    i, j, k = faces.T
+    return np.stack([i, mij, mki, j, mjk, mij, k, mki, mjk, mij, mjk, mki],
+                    axis=1).reshape(-1, 3)
 
 
 def midpoint_subdivide(mesh: TriangleMesh) -> TriangleMesh:
@@ -141,8 +144,18 @@ def midpoint_subdivide(mesh: TriangleMesh) -> TriangleMesh:
     return TriangleMesh(vertices, subdivide_topology(mesh.faces, edges, mesh.n_vertices))
 
 
+def adjacency_csr(n_vertices: int, edges: np.ndarray) -> sp.csr_array:
+    """Symmetric 0/1 adjacency of an undirected edge list as CSR, no self-loops."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    keys = np.unique(np.concatenate([edges[:, 0] * n_vertices + edges[:, 1],
+                                     edges[:, 1] * n_vertices + edges[:, 0]]))
+    rows, cols = np.divmod(keys, n_vertices)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_vertices))])
+    return sp.csr_array((np.ones(len(keys)), cols, indptr), shape=(n_vertices, n_vertices))
+
+
 class AdjacencyOperator:
-    """Dense powers of a (normalized) mesh adjacency matrix.
+    """Sparse normalized mesh adjacency A-bar for k-hop aggregation.
 
     Modes:
       "sym"  -- D^(-1/2) (A + I) D^(-1/2); bounded spectrum (|lambda| <= 1),
@@ -150,15 +163,16 @@ class AdjacencyOperator:
       "row"  -- D^(-1) (A + I); every row sums to exactly 1.
       "none" -- raw 0/1 adjacency, no self-loops; kept for ablations.
 
-    Powers 1..hops are precomputed by repeated matrix products.
+    ``csr`` holds A-bar as one scipy CSR matrix built straight from the edge
+    list, and ``csr_t`` its transpose, which differs from it only in "row"
+    mode. Layers get A-bar^k X as k sparse products, so no V x V array is
+    ever formed. ``matrix`` and ``power(k)`` return dense arrays built on
+    demand, for tests and inspection; no forward or backward pass uses them.
     """
 
-    def __init__(self, matrix: np.ndarray, hops: int, mode: str):
-        self._powers = [matrix]
-        for _ in range(hops - 1):
-            self._powers.append(self._powers[-1] @ matrix)
-        for p in self._powers:
-            p.setflags(write=False)
+    def __init__(self, matrix, hops: int, mode: str):
+        self.csr = sp.csr_array(matrix)
+        self.csr_t = self.csr.T.tocsr() if mode == "row" else self.csr
         self.hops = hops
         self.mode = mode
 
@@ -171,35 +185,34 @@ class AdjacencyOperator:
             raise ValueError(f"hops must be >= 1, got {hops}")
         if mode not in NORMALIZATION_MODES:
             raise ValueError(f"unknown normalization {mode!r}; choose from {NORMALIZATION_MODES}")
-        a = np.zeros((n_vertices, n_vertices), dtype=np.float64)
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        a[edges[:, 0], edges[:, 1]] = 1.0
-        a[edges[:, 1], edges[:, 0]] = 1.0
-        if mode == "none":
-            m = a
-        else:
-            ah = a + np.eye(n_vertices)
-            deg = ah.sum(axis=1)
+        m = adjacency_csr(n_vertices, edges)
+        if mode != "none":
+            m = m + sp.eye_array(n_vertices, format="csr")
+            deg = m.sum(axis=1)
+            rows = np.repeat(np.arange(n_vertices), np.diff(m.indptr))
             if mode == "sym":
                 inv_sqrt = 1.0 / np.sqrt(deg)
-                m = ah * inv_sqrt[:, None] * inv_sqrt[None, :]
+                m.data = m.data * inv_sqrt[rows] * inv_sqrt[m.indices]
             else:
-                m = ah / deg[:, None]
+                m.data = m.data / deg[rows]
         return cls(m, hops, mode)
 
     @property
     def n(self) -> int:
-        return self._powers[0].shape[0]
+        return self.csr.shape[0]
 
     @property
     def matrix(self) -> np.ndarray:
-        return self._powers[0]
+        return self.csr.toarray()
 
     def power(self, k: int) -> np.ndarray:
-        """A-bar to the k-th power, 1 <= k <= hops."""
+        """A-bar to the k-th power as a dense array, 1 <= k <= hops."""
         if not 1 <= k <= self.hops:
-            raise ValueError(f"power {k} outside precomputed range 1..{self.hops}")
-        return self._powers[k - 1]
+            raise ValueError(f"power {k} outside range 1..{self.hops}")
+        p = self.csr
+        for _ in range(k - 1):
+            p = p @ self.csr
+        return p.toarray()
 
 
 def build_adjacency(mesh: TriangleMesh, hops: int = 2, mode: str = "sym") -> AdjacencyOperator:
@@ -243,8 +256,12 @@ def parse_obj(text: str) -> TriangleMesh:
             if any(i <= 0 for i in idx):
                 raise DataFormatError(f"line {lineno}: face indices must be positive (1-based)")
             faces.append([i - 1 for i in idx])
+    vertices = np.array(vertices, dtype=np.float64).reshape(-1, 3)
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        raise DataFormatError(f"vertex {int(np.argmin(finite)) + 1}: non-finite coordinate")
     try:
-        return TriangleMesh(np.array(vertices, dtype=np.float64).reshape(-1, 3), faces)
+        return TriangleMesh(vertices, faces)
     except ValueError as exc:
         raise DataFormatError(str(exc)) from exc
 

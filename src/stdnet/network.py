@@ -14,10 +14,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, concat_rows, gather_rows, hop_combine
+from .autodiff import Tape, Tensor, concat_rows, gather_rows, tagcn
 from .errors import DataFormatError, DimensionError
 from .mesh import (AdjacencyOperator, NORMALIZATION_MODES, TriangleMesh,
-                   midpoint_subdivide, subdivide_topology)
+                   midpoint_subdivide, subdivide_topology, unique_edges)
 
 CHECKPOINT_MAGIC = b"STDN0001"
 
@@ -102,13 +102,10 @@ class TagcnLayer:
             raise DimensionError(
                 f"{self.name}: expected {self.in_channels} input channels, "
                 f"got feature shape {x.shape}")
-        tape = x.tape
-        signals = [x]
-        for k in range(1, self.hops + 1):
-            signals.append(tape.leaf(adj.power(k)) @ x)
         weights = [bound[f"{self.name}.W{k}"] for k in range(self.hops + 1)]
         bias = bound[f"{self.name}.bias"] if self.bias is not None else None
-        out = hop_combine(signals, weights, bias)
+        operators = () if adj is None else (adj.csr, adj.csr_t)
+        out = tagcn(x, weights, bias, *operators)
         return out.relu() if self.activation == "relu" else out
 
 
@@ -246,9 +243,7 @@ class DeformationNetwork:
             if b + 1 < self.config.blocks:
                 faces = subdivide_topology(faces, edges, n)
                 n = n + len(edges)
-                e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-                e.sort(axis=1)
-                edges = np.unique(e, axis=0)
+                edges = unique_edges(faces, n)
         return ForwardPlan(stages)
 
     def forward(self, tape: Tape, mesh: TriangleMesh,

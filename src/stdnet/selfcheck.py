@@ -61,6 +61,13 @@ def gradcheck_suite(seed: int = 0, h: float = 1e-5,
     checks.append(("tagcn_layer_features", gradcheck(
         layer_input_loss, [feats], h=h, tol=tol)))
 
+    # Row normalization is not symmetric, so this case fails if the layer's
+    # input gradient applies A where it needs A^T.
+    row_adj = build_adjacency(mesh, hops=2, mode="row")
+    checks.append(("tagcn_row_layer_features", gradcheck(
+        lambda ts: layer.apply(ts[0], row_adj, layer.bind(ts[0].tape)).square().sum(),
+        [feats], h=h, tol=tol)))
+
     pa = rng.normal(size=(5, 3))
     pb = rng.normal(size=(5, 3))
     checks.append(("chamfer_points", gradcheck(

@@ -235,7 +235,8 @@ def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConf
     takes one Adam step. Validation chamfer is measured before training and
     every ``eval_every`` iterations with fixed draws, and the best snapshot is
     restored into the network (and written to ``out_dir``) at the end. A
-    non-finite loss or gradient aborts with the best checkpoint retained.
+    non-finite loss, gradient or validation chamfer aborts with the best
+    checkpoint retained.
     """
     config.validate()
     if not dataset:
@@ -251,6 +252,8 @@ def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConf
         curve_path = os.path.join(out_dir, "curve.csv")
 
     initial_val = _validation_chamfer(net, prepared, config)
+    if not np.isfinite(initial_val):
+        raise NumericalError("non-finite validation chamfer before training")
     best_val, best_iteration, best_state = initial_val, 0, net.state()
     rows = [(0, "", "", "", "", repr(initial_val))]
     if log:
@@ -293,6 +296,8 @@ def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConf
             val_repr = ""
             if it % config.eval_every == 0 or it == config.iterations:
                 val = _validation_chamfer(net, prepared, config)
+                if not np.isfinite(val):
+                    raise NumericalError(f"non-finite validation chamfer at iteration {it}")
                 val_repr = repr(val)
                 if val < best_val:
                     best_val, best_iteration, best_state = val, it, net.state()

@@ -163,6 +163,16 @@ class TestTrainDeformEval:
         assert sorted(p.name for p in out.iterdir()) == [
             "input.block1.obj", "input.block2.obj", "input.block3.obj"]
 
+    def test_deform_non_finite_obj_is_data_error(self, tmp_path):
+        src = tmp_path / "input.obj"
+        src.write_text("v 0 0 0\nv 1 0 0\nv 0 nan 0\nv 0 0 1\n"
+                       "f 1 3 2\nf 1 2 4\nf 2 3 4\nf 3 1 4\n")
+        cfg = TrainConfig(channels=6, layers_per_block=2, seed=0)
+        checkpoint = tmp_path / "net.stdn"
+        save_checkpoint(checkpoint, DeformationNetwork(cfg.network_config()))
+        assert main(["deform", str(checkpoint), str(src), "--out", str(tmp_path / "d"),
+                     "--quiet"]) == 2
+
     def test_eval_bad_checkpoint_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.stdn"
         bad.write_bytes(b"NOTMAGIC")

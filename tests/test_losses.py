@@ -92,6 +92,43 @@ class TestSampleSurface:
         batch.points.sum().backward()
         assert v.grad is not None and np.abs(v.grad).sum() > 0
 
+    def test_gather_matches_dense_coefficient_matmul(self):
+        # the recorded three-row gather against the (n x V) coefficient matrix
+        mesh = mesh_cuboid(ObbNode(np.zeros(3), np.eye(3), (0.5, 0.3, 0.7)), 1)
+        t = Tape()
+        v = t.leaf(mesh.vertices, requires_grad=True)
+        batch = sample_surface(v, mesh.faces, 300, np.random.default_rng(13))
+        c1, c2, c3 = barycentric_coefficients(batch.u, batch.w)
+        tri = mesh.faces[batch.face_indices]
+        coeff = np.zeros((batch.n, mesh.n_vertices))
+        rows = np.arange(batch.n)
+        coeff[rows, tri[:, 0]] = c1
+        coeff[rows, tri[:, 1]] = c2
+        coeff[rows, tri[:, 2]] = c3
+        g = np.random.default_rng(14).normal(size=(batch.n, 3))
+        (batch.points @ t.leaf(g.T)).square().sum().backward()
+        assert np.abs(batch.points.value - coeff @ mesh.vertices).max() <= 1e-12
+        upstream = 2.0 * (batch.points.value @ g.T) @ g
+        assert np.abs(v.grad - coeff.T @ upstream).max() <= 1e-12 * np.abs(v.grad).max()
+
+    def test_tensor_and_array_points_identical(self):
+        mesh = mesh_cuboid(ObbNode(np.zeros(3), np.eye(3), (0.5, 0.3, 0.7)), 1)
+        plain = sample_surface(mesh.vertices, mesh.faces, 200, np.random.default_rng(15))
+        traced = sample_surface(Tape().leaf(mesh.vertices), mesh.faces, 200,
+                                np.random.default_rng(15))
+        assert traced.points.value.tobytes() == plain.points.tobytes()
+
+    def test_gather_gradient_matches_finite_differences(self):
+        mesh = mesh_cuboid(ObbNode(np.zeros(3), np.eye(3), (0.5, 0.3, 0.7)))
+        target = np.random.default_rng(16).normal(size=(7, 3))
+
+        def loss(ts):
+            points = sample_surface(ts[0], mesh.faces, 40, np.random.default_rng(17)).points
+            return (points @ ts[0].tape.leaf(target.T)).square().sum()
+
+        report = gradcheck(loss, [np.array(mesh.vertices)], tol=1e-6)
+        assert report.passed, str(report)
+
 
 class TestChamfer:
     def test_identical_sets_zero(self):
@@ -184,6 +221,37 @@ class TestLaplacian:
         report = gradcheck(
             lambda ts: laplacian_loss(ts[0], ts[1], mesh.edges),
             [before, after], tol=1e-5)
+        assert report.passed, str(report)
+
+    def test_sparse_operator_matches_dense_formula(self):
+        # (I - mean) with isolated rows zeroed, as a dense matrix, on a mesh
+        # with two isolated vertices that move
+        cube = mesh_cuboid(ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5)), 1)
+        n = cube.n_vertices + 2
+        rng = np.random.default_rng(18)
+        before = rng.normal(size=(n, 3))
+        after = before + 0.3 * rng.normal(size=(n, 3))
+        mean = neighbor_mean_matrix(n, cube.edges)
+        lap = np.eye(n) - mean
+        lap[mean.sum(axis=1) == 0.0] = 0.0
+        delta = lap @ after - lap @ before
+        t = Tape()
+        b, a = t.leaf(before, requires_grad=True), t.leaf(after, requires_grad=True)
+        loss = laplacian_loss(b, a, cube.edges)
+        loss.backward()
+        assert abs(loss.item() - (delta ** 2).sum()) <= 1e-12 * (delta ** 2).sum()
+        expected = 2.0 * lap.T @ delta
+        assert np.abs(a.grad - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(b.grad + expected).max() <= 1e-12 * np.abs(expected).max()
+        assert not a.grad[-2:].any() and not b.grad[-2:].any()
+
+    def test_gradient_with_isolated_vertices(self):
+        rng = np.random.default_rng(19)
+        edges = np.array([[0, 1], [1, 2], [0, 2], [2, 3]])  # vertex 4 is isolated
+        before = rng.normal(size=(5, 3))
+        after = before + 0.2 * rng.normal(size=(5, 3))
+        report = gradcheck(lambda ts: laplacian_loss(ts[0], ts[1], edges),
+                           [before, after], tol=1e-6)
         assert report.passed, str(report)
 
 

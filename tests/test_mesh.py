@@ -6,7 +6,8 @@ from stdnet import (AdjacencyOperator, EmptyInputError, ObbNode, TriangleMesh,
 from stdnet.boxes import (load_structure, save_structure, structure_from_dict,
                           structure_to_dict)
 from stdnet.errors import DataFormatError
-from stdnet.mesh import format_obj, parse_obj, read_obj, write_obj
+from stdnet.mesh import (format_obj, parse_obj, read_obj, subdivide_topology,
+                         unique_edges, write_obj)
 
 
 def unit_cube():
@@ -104,6 +105,39 @@ class TestSubdivision:
             assert fine.n_faces == 4 * mesh.n_faces
             assert fine.euler_characteristic == mesh.euler_characteristic == 2
             assert fine.is_closed()
+
+    def test_topology_matches_per_face_reference(self):
+        # the edge-key/searchsorted split must give the same faces in the same
+        # order as the face-by-face definition
+        for s in range(3):
+            mesh = mesh_cuboid(unit_cube(), s)
+            rank = {(int(a), int(b)): mesh.n_vertices + r
+                    for r, (a, b) in enumerate(mesh.edges)}
+
+            def mid(a, b):
+                return rank[(min(a, b), max(a, b))]
+
+            expected = []
+            for i, j, k in mesh.faces.tolist():
+                mij, mjk, mki = mid(i, j), mid(j, k), mid(k, i)
+                expected += [(i, mij, mki), (j, mjk, mij), (k, mki, mjk), (mij, mjk, mki)]
+            out = subdivide_topology(mesh.faces, mesh.edges, mesh.n_vertices)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, np.array(expected))
+
+    def test_missing_edge_rejected(self):
+        mesh = mesh_cuboid(unit_cube())
+        with pytest.raises(ValueError):
+            subdivide_topology(mesh.faces, mesh.edges[1:], mesh.n_vertices)
+        with pytest.raises(ValueError):
+            subdivide_topology(mesh.faces, np.empty((0, 2), np.int64), mesh.n_vertices)
+
+    def test_unique_edges_matches_row_unique(self):
+        faces = mesh_cuboid(unit_cube(), 1).faces
+        e = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+        e.sort(axis=1)
+        assert np.array_equal(unique_edges(faces, 26), np.unique(e, axis=0))
+        assert unique_edges(np.empty((0, 3), np.int64), 0).shape == (0, 2)
 
     def test_midpoints_bisect_edges(self):
         mesh = mesh_cuboid(unit_cube())
@@ -319,6 +353,11 @@ class TestObjIO:
     def test_rejects_bad_floats(self):
         with pytest.raises(DataFormatError):
             parse_obj("v zero 0 0\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+    def test_rejects_non_finite_coordinates(self, value):
+        with pytest.raises(DataFormatError, match="vertex 2"):
+            parse_obj(f"v 0 0 0\nv 1 {value} 0\nv 0 1 0\nf 1 2 3\n")
 
     def test_never_emits_other_directives(self):
         text = format_obj(mesh_cuboid(unit_cube()))

@@ -5,6 +5,7 @@ from stdnet import (DeformationNetwork, DimensionError, NetworkConfig, ObbNode,
                     TagcnLayer, Tape, build_adjacency, graph_unpool,
                     load_checkpoint, mesh_cuboid, midpoint_subdivide,
                     network_forward, save_checkpoint, tagcn_forward)
+from stdnet.autodiff import tagcn
 from stdnet.errors import DataFormatError
 from stdnet.mesh import AdjacencyOperator, TriangleMesh
 
@@ -84,6 +85,73 @@ class TestTagcnLayer:
         x = np.random.default_rng(5).normal(size=(4, 3))
         out = tagcn_forward(layer, None, Tape().leaf(x))
         assert np.allclose(out.value, x @ layer.weights[0])
+
+
+def close(actual, expected, rel=1e-12):
+    """Max abs difference within rel times the largest reference entry (at least 1)."""
+    return np.abs(actual - expected).max() <= rel * max(1.0, np.abs(expected).max())
+
+
+class TestFusedTagcn:
+    """The sparse, matrix-free tagcn op against sum_k A^k X W_k with dense powers."""
+
+    @staticmethod
+    def cube_with_isolated_vertex():
+        cube = unit_cube_mesh()
+        return TriangleMesh(np.vstack([cube.vertices, [[2.0, 2.0, 2.0]]]), cube.faces)
+
+    @pytest.mark.parametrize("mode", ["sym", "row", "none"])
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_matches_dense_reference(self, mode, hops):
+        mesh = self.cube_with_isolated_vertex()
+        adj = build_adjacency(mesh, hops, mode)
+        rng = np.random.default_rng(hops)
+        x = rng.normal(size=(mesh.n_vertices, 4))
+        ws = [rng.normal(size=(4, 5)) for _ in range(hops + 1)]
+        b = rng.normal(size=(1, 5))
+        powers = [np.eye(mesh.n_vertices)] + [adj.power(k) for k in range(1, hops + 1)]
+        expected = sum(p @ x @ w for p, w in zip(powers, ws)) + b
+        g = 2.0 * expected  # upstream gradient of sum(out ** 2)
+
+        t = Tape()
+        xt = t.leaf(x, requires_grad=True)
+        wt = [t.leaf(w, requires_grad=True) for w in ws]
+        bt = t.leaf(b, requires_grad=True)
+        out = tagcn(xt, wt, bt, adj.csr, adj.csr_t)
+        out.square().sum().backward()
+
+        assert close(out.value, expected)
+        assert close(xt.grad, sum(p.T @ g @ w.T for p, w in zip(powers, ws)))
+        for p, w in zip(powers, wt):
+            assert close(w.grad, (p @ x).T @ g)
+        assert close(bt.grad, g.sum(axis=0, keepdims=True))
+        # the isolated vertex only ever sees itself
+        row = x[-1] @ (ws[0] + (sum(ws[1:]) if mode != "none" else 0.0)) + b[0]
+        assert close(out.value[-1], row)
+
+    def test_row_mode_needs_the_transpose(self):
+        # in row mode A != A^T, so a vjp that used A would be caught above
+        adj = build_adjacency(self.cube_with_isolated_vertex(), 2, "row")
+        assert np.abs(adj.matrix - adj.matrix.T).max() > 0.01
+        assert np.array_equal(adj.csr_t.toarray(), adj.matrix.T)
+
+    def test_no_dense_operator_on_the_tape(self):
+        # every recorded value is at most `channels` wide: no V x V operator
+        cfg = small_config()
+        t = Tape()
+        outputs = DeformationNetwork(cfg).forward(t, unit_cube_mesh(1))
+        nodes = [n for n in (t.node(i) for i in range(len(t))) if n is not None]
+        assert outputs[-1].n_vertices == 386
+        assert sum(n.op == "tagcn" for n in nodes) == cfg.blocks * (cfg.layers_per_block + 1)
+        assert max(n.shape[1] for n in nodes) == cfg.channels
+
+    def test_hops_zero_needs_no_operator(self):
+        x = np.random.default_rng(9).normal(size=(4, 3))
+        w = np.random.default_rng(10).normal(size=(3, 2))
+        t = Tape()
+        assert np.array_equal(tagcn(t.leaf(x), [t.leaf(w)]).value, x @ w)
+        with pytest.raises(ValueError):
+            tagcn(t.leaf(x), [t.leaf(w), t.leaf(w)])
 
 
 class TestPermutationEquivariance:

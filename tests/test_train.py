@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -253,6 +255,33 @@ class TestTrain:
             train(net, [pair], cfg, out_dir=tmp_path)
         assert (tmp_path / "checkpoint.stdn").exists()
         assert (tmp_path / "curve.csv").exists()
+
+    def test_non_finite_validation_aborts_with_checkpoint(self, tmp_path, monkeypatch):
+        # a NaN validation chamfer never compares below the best one, so it
+        # must abort the run instead of letting training go on unchecked
+        train_module = sys.modules["stdnet.train"]
+        (pair,) = make_fixtures("cube-to-sphere")
+        cfg = tiny_config(iterations=4, eval_every=2)
+        net = DeformationNetwork(cfg.network_config())
+        initial = net.state()
+        values = iter([1.0, np.nan])
+        monkeypatch.setattr(train_module, "_validation_chamfer",
+                            lambda *args: next(values))
+        with pytest.raises(NumericalError, match="validation"):
+            train(net, [pair], cfg, out_dir=tmp_path)
+        # the best snapshot is the untrained one, restored and written out
+        assert all(np.array_equal(net.parameters()[n], a) for n, a in initial.items())
+        assert (tmp_path / "checkpoint.stdn").exists()
+        curve = (tmp_path / "curve.csv").read_text().splitlines()
+        assert len(curve) == 3  # header, row 0 and iteration 1
+
+    def test_non_finite_initial_validation_rejected(self, monkeypatch):
+        train_module = sys.modules["stdnet.train"]
+        (pair,) = make_fixtures("cube-to-sphere")
+        cfg = tiny_config()
+        monkeypatch.setattr(train_module, "_validation_chamfer", lambda *args: np.inf)
+        with pytest.raises(NumericalError, match="validation"):
+            train(DeformationNetwork(cfg.network_config()), [pair], cfg)
 
     def test_validation_improves_on_every_fixture_kind(self):
         # reduced-scale stand-in for the long-run claim: on each kind the
