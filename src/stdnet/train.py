@@ -8,43 +8,25 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, concat_rows
+from .autodiff import Tape
 from .errors import DataFormatError, EmptyInputError, NumericalError
-from .fixtures import DatasetPair, make_fixtures  # noqa: F401  (re-exported)
+from .fixtures import DatasetPair
 from .losses import chamfer_loss, sample_surface, total_loss
 from .mesh import TriangleMesh
-from .network import BlockOutput, DeformationNetwork, NetworkConfig, save_checkpoint
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
+from .network import (DeformationNetwork, ForwardPlan, NetworkConfig, network_forward,
+                      save_checkpoint)
 
 CURVE_HEADER = "iteration,l_cd,l_lap,l_edge,L_all,val_cd"
 _VAL_STREAM = 2  # train draws use seed stream 1, validation stream 2
 
 
-def _adam_update_numpy(p, g, m, v, wd, b1, b2, eps_c, bc2, s1):
+def _adam_update(p, g, m, v, wd, b1, b2, eps_c, bc2, s1):
     gi = g + wd * p
     m *= b1
     m += (1.0 - b1) * gi
     v *= b2
     v += (1.0 - b2) * (gi * gi)
     p -= (m / (np.sqrt(v / bc2) + eps_c)) * s1
-
-
-if njit is not None:
-    @njit(cache=True)
-    def _adam_update(p, g, m, v, wd, b1, b2, eps_c, bc2, s1):  # pragma: no cover
-        for i in range(p.size):
-            gi = g[i] + wd * p[i]
-            mi = b1 * m[i] + (1.0 - b1) * gi
-            vi = b2 * v[i] + (1.0 - b2) * (gi * gi)
-            m[i] = mi
-            v[i] = vi
-            p[i] -= (mi / (np.sqrt(vi / bc2) + eps_c)) * s1
-else:
-    _adam_update = _adam_update_numpy
 
 
 @dataclass
@@ -114,9 +96,8 @@ class TrainConfig:
 class Adam:
     """Adam with bias correction and optional L2 weight decay folded into g.
 
-    The per-parameter update runs as one fused pass over the data (numba when
-    available); at a couple hundred weight matrices per step the update is
-    memory-bound, so pass count is what matters.
+    A parameter missing from the gradients of a step is updated as if its
+    gradient were zero: weight decay still applies and the moments decay.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 3e-5,
@@ -128,7 +109,6 @@ class Adam:
         self.t = 0
         self.m = {name: np.zeros_like(p) for name, p in params.items()}
         self.v = {name: np.zeros_like(p) for name, p in params.items()}
-        self._zero = {name: np.zeros(p.size) for name, p in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         for name, p in self.params.items():
@@ -144,29 +124,19 @@ class Adam:
         s1 = self.lr / (1.0 - self.beta1 ** self.t)
         for name, p in self.params.items():
             g = grads.get(name)
-            g = self._zero[name] if g is None else g.reshape(-1)
+            g = np.zeros(p.size) if g is None else g.reshape(-1)
             _adam_update(p.reshape(-1), g, self.m[name].reshape(-1),
                          self.v[name].reshape(-1), self.weight_decay,
                          self.beta1, self.beta2, self.eps, bc2, s1)
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: Adam | None, config: TrainConfig) -> Adam:
-    """One functional Adam update; creates the state on first use."""
-    if state is None:
-        state = Adam(params, lr=config.lr, beta1=config.beta1, beta2=config.beta2,
-                     eps=config.eps, weight_decay=config.weight_decay)
-    state.step(grads)
-    return state
-
-
 @dataclass
 class PreparedPair:
-    pair: DatasetPair
-    part_meshes: list[TriangleMesh]
-    plans: list
-    target_vertices: np.ndarray
-    target_faces: np.ndarray
+    """A pair's part meshes with their forward plans, built once per run."""
+
+    parts: list[TriangleMesh]
+    plans: list[ForwardPlan]
+    target: TriangleMesh
 
 
 @dataclass
@@ -185,30 +155,8 @@ def _prepare(net: DeformationNetwork, dataset: list[DatasetPair]) -> list[Prepar
         if pair.target.n_faces == 0:
             raise EmptyInputError(f"pair {pair.identifier!r} has an empty target")
         parts = pair.source_meshes()
-        prepared.append(PreparedPair(
-            pair, parts, [net.plan(m) for m in parts],
-            np.array(pair.target.vertices), np.array(pair.target.faces)))
+        prepared.append(PreparedPair(parts, [net.plan(m) for m in parts], pair.target))
     return prepared
-
-
-def _forward_union(net: DeformationNetwork, tape: Tape,
-                   bound: dict[str, Tensor], prep: PreparedPair) -> list[BlockOutput]:
-    """Forward every part and concatenate per-block outputs into one mesh."""
-    per_part = [net.forward(tape, mesh, plan=plan, bound=bound)
-                for mesh, plan in zip(prep.part_meshes, prep.plans)]
-    if len(per_part) == 1:
-        return per_part[0]
-    union = []
-    for b in range(len(net.blocks)):
-        outs = [parts[b] for parts in per_part]
-        offsets = np.cumsum([0] + [o.n_vertices for o in outs])[:-1]
-        faces = np.concatenate([o.faces + off for o, off in zip(outs, offsets)])
-        edges = np.concatenate([o.edges + off for o, off in zip(outs, offsets)])
-        union.append(BlockOutput(
-            faces, edges,
-            concat_rows([o.v_in for o in outs]),
-            concat_rows([o.v_out for o in outs])))
-    return union
 
 
 def _validation_chamfer(net: DeformationNetwork, prepared: list[PreparedPair],
@@ -217,17 +165,16 @@ def _validation_chamfer(net: DeformationNetwork, prepared: list[PreparedPair],
     rng = np.random.default_rng([config.seed, _VAL_STREAM])
     values = []
     for prep in prepared:
-        tape = Tape()
-        final = _forward_union(net, tape, net.bind(tape), prep)[-1]
-        pred = sample_surface(final.v_out.value, final.faces, config.samples, rng)
-        target = sample_surface(prep.target_vertices, prep.target_faces,
+        final = network_forward(net, *prep.parts, plans=prep.plans)[-1]
+        pred = sample_surface(final.vertices, final.faces, config.samples, rng)
+        target = sample_surface(prep.target.vertices, prep.target.faces,
                                 config.samples, rng)
         values.append(chamfer_loss(pred, target).item())
     return float(np.mean(values))
 
 
 def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConfig,
-          out_dir=None, supervise_blocks=None, log=None) -> TrainResult:
+          out_dir=None, log=None) -> TrainResult:
     """Optimize ``net`` in place; keeps the best-by-validation parameters.
 
     Every iteration runs forward on all pairs (part meshes concatenated per
@@ -276,13 +223,13 @@ def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConf
             loss = None
             cd = lap = edge = 0.0
             for prep in prepared:
-                blocks = _forward_union(net, tape, bound, prep)
-                target = sample_surface(prep.target_vertices, prep.target_faces,
+                blocks = net.forward_parts(tape, prep.parts, plans=prep.plans,
+                                           bound=bound)
+                target = sample_surface(prep.target.vertices, prep.target.faces,
                                         config.samples, rng)
                 pair_loss, report = total_loss(
                     blocks, target, config.samples, rng,
-                    lambda_lap=config.lambda_lap, lambda_edge=config.lambda_edge,
-                    supervise_blocks=supervise_blocks)
+                    lambda_lap=config.lambda_lap, lambda_edge=config.lambda_edge)
                 loss = pair_loss if loss is None else loss + pair_loss
                 cd += report.l_cd
                 lap += report.l_lap

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from stdnet import DimensionError, Tape, gradcheck
-from stdnet.autodiff import (concat_rows, gather_rows, min_index_rows, relu,
-                             transpose)
+from stdnet.autodiff import concat_rows, gather_rows, relu, transpose
 
 
 def finite_difference(fn, arrays, h=1e-5):
@@ -70,13 +69,6 @@ class TestForward:
         assert c.shape == (7, 3)
         assert np.array_equal(transpose(c).value, c.value.T)
 
-    def test_min_index_rows_lowest_index_ties(self):
-        t = Tape()
-        d = t.leaf(np.array([[3.0, 1.0, 1.0], [0.5, 2.0, 0.5]]))
-        values, idx = min_index_rows(d)
-        assert np.array_equal(values.value, [[1.0], [0.5]])
-        assert np.array_equal(idx, [1, 0])
-
     def test_sqrt_rejects_negative(self):
         t = Tape()
         with pytest.raises(ValueError):
@@ -139,14 +131,6 @@ class TestBackward:
         x = t.leaf(np.array([[4.0, 9.0]]), requires_grad=True)
         x.sqrt().sum().backward()
         assert np.allclose(x.grad, [[0.25, 1.0 / 6.0]])
-
-    def test_min_routes_gradient_to_argmin(self):
-        t = Tape()
-        d = t.leaf(np.array([[3.0, 1.0], [0.5, 2.0]]), requires_grad=True)
-        values, _ = min_index_rows(d)
-        values.sum().backward()
-        assert np.array_equal(d.grad, [[0, 1], [1, 0]])
-
 
 class TestGradcheck:
     def test_quadratic_is_machine_exact(self):

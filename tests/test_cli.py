@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from stdnet.boxes import save_structure
+from stdnet.boxes import mesh_cuboid, save_structure
 from stdnet.cli import main
 from stdnet.fixtures import make_fixtures
-from stdnet.mesh import read_obj, write_obj
-from stdnet.network import DeformationNetwork, save_checkpoint
+from stdnet.mesh import TriangleMesh, format_obj, read_obj, write_obj
+from stdnet.network import DeformationNetwork, network_forward, save_checkpoint
 from stdnet.train import TrainConfig
 
 
@@ -172,6 +172,53 @@ class TestTrainDeformEval:
         save_checkpoint(checkpoint, DeformationNetwork(cfg.network_config()))
         assert main(["deform", str(checkpoint), str(src), "--out", str(tmp_path / "d"),
                      "--quiet"]) == 2
+
+    def test_deform_chair_writes_parts_joined_in_order(self, tmp_path):
+        (pair,) = make_fixtures("two-box-chair", seed=0)
+        box = tmp_path / "chair.box.json"
+        save_structure(pair.source, box)
+        net = DeformationNetwork(TrainConfig(channels=6, layers_per_block=2,
+                                             seed=0).network_config())
+        rng = np.random.default_rng(1)
+        for block in net.blocks:  # non-zero displacements, so vertices move
+            for w in block.coord.weights:
+                w[...] = rng.normal(0.0, 1e-2, w.shape)
+        checkpoint = tmp_path / "net.stdn"
+        save_checkpoint(checkpoint, net)
+        out = tmp_path / "d"
+        assert main(["deform", str(checkpoint), str(box), "--subdivisions", "1",
+                     "--out", str(out), "--quiet"]) == 0
+        parts = [mesh_cuboid(leaf, 1) for leaf in pair.source.leaves()]
+        assert len(parts) == 2
+        per_part = [network_forward(net, part) for part in parts]
+        for b, meshes in enumerate(zip(*per_part), start=1):
+            faces, offset = [], 0
+            for mesh in meshes:
+                faces.append(mesh.faces + offset)
+                offset += mesh.n_vertices
+            joined = TriangleMesh(np.concatenate([m.vertices for m in meshes]),
+                                  np.concatenate(faces))
+            assert (out / f"chair.block{b}.obj").read_text() == format_obj(joined)
+        assert not np.array_equal(per_part[0][-1].vertices[:8], parts[0].vertices)
+
+    def test_deform_oversized_header_length_is_data_error(self, tmp_path, unit_cube_json):
+        checkpoint = tmp_path / "net.stdn"
+        save_checkpoint(checkpoint, DeformationNetwork(
+            TrainConfig(channels=6, layers_per_block=2).network_config()))
+        blob = bytearray(checkpoint.read_bytes())
+        blob[8:16] = (2 ** 62).to_bytes(8, "little")
+        checkpoint.write_bytes(bytes(blob))
+        assert main(["deform", str(checkpoint), str(unit_cube_json),
+                     "--out", str(tmp_path / "d"), "--quiet"]) == 2
+
+    def test_deform_trailing_checkpoint_bytes_is_data_error(self, tmp_path, unit_cube_json):
+        checkpoint = tmp_path / "net.stdn"
+        save_checkpoint(checkpoint, DeformationNetwork(
+            TrainConfig(channels=6, layers_per_block=2).network_config()))
+        with open(checkpoint, "ab") as fh:
+            fh.write(b"\0" * 8)
+        assert main(["deform", str(checkpoint), str(unit_cube_json),
+                     "--out", str(tmp_path / "d"), "--quiet"]) == 2
 
     def test_eval_bad_checkpoint_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.stdn"

@@ -1,4 +1,6 @@
 import json
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +165,29 @@ class TestEvaluate:
         reports, aggregate = evaluate(self._zero_net(), pairs, seed=0)
         assert [r.identifier for r in reports] == ["p0", "p1", "p2", "p3"]
         assert aggregate["pairs"] == 4
+
+    def test_workers_leave_warning_filters_alone(self, monkeypatch):
+        # The warnings filters are process-global; a worker thread that
+        # changes them races every other thread in the process.
+        off_main = []
+
+        def spy(fn):
+            def wrapper(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("catch_warnings", "simplefilter", "filterwarnings", "resetwarnings"):
+            monkeypatch.setattr(warnings, name, spy(getattr(warnings, name)))
+        monkeypatch.setenv("STDNET_THREADS", "2")
+        cube = ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5))
+        sphere = icosphere(1, radius=0.8)
+        open_sphere = TriangleMesh(sphere.vertices, sphere.faces[:-1])
+        pairs = [DatasetPair("closed", cube, sphere), DatasetPair("open", cube, open_sphere)]
+        reports, _ = evaluate(self._zero_net(), pairs, seed=0, resolution=16)
+        assert [r.iou_mode for r in reports] == ["volume", "surface"]
+        assert off_main == []
 
     def test_jsonl_output(self, tmp_path):
         cube = ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5))

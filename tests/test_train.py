@@ -9,7 +9,7 @@ from stdnet import (Adam, DeformationNetwork, EmptyInputError, NumericalError,
 from stdnet.errors import DataFormatError
 from stdnet.fixtures import FIXTURE_KINDS, icosphere
 from stdnet.mesh import format_obj
-from stdnet.train import CURVE_HEADER, adam_step
+from stdnet.train import CURVE_HEADER
 
 
 def tiny_config(**overrides):
@@ -64,12 +64,16 @@ class TestAdam:
         with pytest.raises(NumericalError, match="bad_param"):
             opt.step({"bad_param": np.full((2, 2), np.nan)})
 
-    def test_functional_entry_point(self):
-        cfg = TrainConfig(lr=0.1, weight_decay=0.0)
-        p = {"w": np.array([[2.0]])}
-        state = adam_step(p, {"w": np.array([[1.0]])}, None, cfg)
-        assert state.t == 1
-        assert p["w"][0, 0] < 2.0
+    def test_missing_gradient_steps_as_zero(self):
+        def run(grads):
+            p = {"w": np.array([[10.0, -3.0]]), "b": np.array([[1.0]])}
+            opt = Adam(p, lr=0.1, weight_decay=1e-2)
+            for _ in range(3):
+                opt.step(grads)
+            return p["w"].tobytes(), p["b"].tobytes(), opt.m["w"].tobytes()
+
+        missing = run({"b": np.array([[0.5]])})
+        assert missing == run({"w": np.zeros((1, 2)), "b": np.array([[0.5]])})
 
     def test_weight_decay_shrinks_without_gradient(self):
         p = {"w": np.array([[10.0]])}
@@ -218,7 +222,6 @@ class TestTrain:
     def test_supervision_switch_changes_block1_gradients(self):
         from stdnet.autodiff import Tape
         from stdnet.losses import sample_surface, total_loss
-        from stdnet.train import _forward_union, _prepare
 
         (pair,) = make_fixtures("cube-to-sphere")
         cfg = tiny_config(iterations=1, samples=50, seed=2)
@@ -226,13 +229,13 @@ class TestTrain:
         rng = np.random.default_rng(0)
         for name, p in net.parameters().items():
             p[...] = rng.normal(size=p.shape) * 0.05
-        (prep,) = _prepare(net, [pair])
+        parts = pair.source_meshes()
 
         def block1_grads(supervise):
             tape = Tape()
             bound = net.bind(tape)
-            blocks = _forward_union(net, tape, bound, prep)
-            target = sample_surface(prep.target_vertices, prep.target_faces, 50,
+            blocks = net.forward_parts(tape, parts, bound=bound)
+            target = sample_surface(pair.target.vertices, pair.target.faces, 50,
                                     np.random.default_rng(5))
             loss, _ = total_loss(blocks, target, 50, np.random.default_rng(6),
                                  supervise_blocks=supervise)
