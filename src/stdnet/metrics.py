@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import warnings
@@ -12,7 +13,7 @@ import numpy as np
 from scipy import ndimage
 
 from .autodiff import Tape
-from .errors import EmptyInputError
+from .errors import EmptyInputError, NumericalError
 from .fixtures import DatasetPair
 from .losses import chamfer_loss, sample_surface
 from .mesh import TriangleMesh
@@ -20,6 +21,8 @@ from .network import DeformationNetwork
 
 THREADS_ENV = "STDNET_THREADS"
 F1_SAMPLES = 2500
+# (face, cell) rows per separating-axis chunk: the temporaries stay in cache.
+SAT_CHUNK_ROWS = 4096
 DISTANCE_CONVENTION = "squared distance, meshes jointly normalized to the unit cube"
 
 
@@ -54,10 +57,22 @@ def chamfer_metric(points_a: np.ndarray, points_b: np.ndarray) -> float:
     return chamfer_loss(tape.leaf(points_a), tape.leaf(points_b)).item()
 
 
+@functools.cache
+def _kdtree():
+    """scipy's KD-tree, imported on first use: loading scipy.spatial costs ~0.15 s of CPU."""
+    from scipy.spatial import cKDTree
+    return cKDTree
+
+
 def _nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    sq = ((a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :]
-          - 2.0 * a @ b.T)
-    return np.maximum(sq, 0.0).min(axis=1)
+    """Squared distance from each row of ``a`` to its nearest row of ``b``.
+
+    The KD-tree picks the neighbour; the distance is then recomputed as the
+    sum of squared coordinate differences, as ``losses.nearest_sqdist`` does.
+    """
+    _, idx = _kdtree()(b).query(a)
+    diff = a - b[idx]
+    return (diff * diff).sum(axis=1)
 
 
 def f1_score(pred_points, gt_points, threshold: float) -> tuple[float, float, float]:
@@ -65,7 +80,8 @@ def f1_score(pred_points, gt_points, threshold: float) -> tuple[float, float, fl
 
     Precision is the fraction of predicted points whose nearest ground-truth
     point lies within ``threshold`` (squared distance); recall is symmetric.
-    F1 is their harmonic mean, or 0 when both vanish.
+    F1 is their harmonic mean, or 0 when both vanish. Non-finite points raise
+    NumericalError.
     """
     pred = np.asarray(pred_points, dtype=np.float64).reshape(-1, 3)
     gt = np.asarray(gt_points, dtype=np.float64).reshape(-1, 3)
@@ -73,6 +89,8 @@ def f1_score(pred_points, gt_points, threshold: float) -> tuple[float, float, fl
         raise EmptyInputError("f1_score needs two non-empty point sets")
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
+    if not (np.isfinite(pred).all() and np.isfinite(gt).all()):
+        raise NumericalError("f1_score got non-finite points")
     precision = 100.0 * (_nearest_sq_dists(pred, gt) <= threshold).mean()
     recall = 100.0 * (_nearest_sq_dists(gt, pred) <= threshold).mean()
     f1 = 0.0
@@ -81,53 +99,71 @@ def f1_score(pred_points, gt_points, threshold: float) -> tuple[float, float, fl
     return f1, precision, recall
 
 
-def _triangle_cell_overlap(v0, v1, v2, centers, half: float) -> np.ndarray:
-    """Separating-axis triangle/cube test, vectorized over cell centers."""
-    p0 = v0 - centers
-    p1 = v1 - centers
-    p2 = v2 - centers
-    ok = np.ones(len(centers), dtype=bool)
-    # Cube face axes: triangle AABB vs cell.
-    for axis in range(3):
-        lo = np.minimum(np.minimum(p0[:, axis], p1[:, axis]), p2[:, axis])
-        hi = np.maximum(np.maximum(p0[:, axis], p1[:, axis]), p2[:, axis])
-        ok &= (lo <= half) & (hi >= -half)
-    # Triangle plane vs cell.
-    e0, e1, e2 = v1 - v0, v2 - v1, v0 - v2
-    normal = np.cross(e0, e1)
-    r = half * np.abs(normal).sum()
-    ok &= np.abs((p0 * normal).sum(axis=1)) <= r
-    # Nine edge-cross axes.
-    for e in (e0, e1, e2):
-        for unit in np.eye(3):
-            axis = np.cross(e, unit)
-            if not axis.any():
-                continue
-            r = half * np.abs(axis).sum()
-            q0 = p0 @ axis
-            q1 = p1 @ axis
-            q2 = p2 @ axis
-            lo = np.minimum(np.minimum(q0, q1), q2)
-            hi = np.maximum(np.maximum(q0, q1), q2)
-            ok &= (lo <= r) & (hi >= -r)
-    return ok
-
-
 def surface_voxels(mesh: TriangleMesh, origin: np.ndarray, cell: float,
                    resolution: int) -> np.ndarray:
-    """Boolean grid marking cells the mesh surface touches (conservative)."""
+    """Boolean grid marking cells the mesh surface touches (conservative).
+
+    Each face is tested against every cell of its bounding box with the
+    separating-axis triangle/box test (Akenine-Moeller, JGT 2001): the box
+    axes, the triangle's plane, then the nine edge-cross axes. The (face,
+    cell) pairs are enumerated face by face and tested SAT_CHUNK_ROWS at a
+    time, so memory stays bounded however large a face is. Every projection
+    is an explicit sum in a fixed order, not a BLAS product (which may round
+    a row differently by its position in the matrix), so the grid depends
+    neither on the face order nor on the chunk size.
+    """
     grid = np.zeros((resolution, resolution, resolution), dtype=bool)
-    verts = (mesh.vertices - origin) / cell
     half = 0.5
-    for i, j, k in mesh.faces:
-        tri = verts[[i, j, k]]
-        lo = np.clip(np.floor(tri.min(axis=0)).astype(int), 0, resolution - 1)
-        hi = np.clip(np.floor(tri.max(axis=0)).astype(int), 0, resolution - 1)
-        xs, ys, zs = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
-        cx, cy, cz = np.meshgrid(xs, ys, zs, indexing="ij")
-        centers = np.column_stack([cx.ravel(), cy.ravel(), cz.ravel()]) + 0.5
-        hit = _triangle_cell_overlap(tri[0], tri[1], tri[2], centers, half)
-        grid[cx.ravel()[hit], cy.ravel()[hit], cz.ravel()[hit]] = True
+    tri = ((mesh.vertices - origin) / cell)[mesh.faces]              # (F, corner, xyz)
+    lo = np.clip(np.floor(tri.min(axis=1)).astype(np.int64), 0, resolution - 1)
+    hi = np.clip(np.floor(tri.max(axis=1)).astype(np.int64), 0, resolution - 1)
+    box = hi - lo + 1                                                # cells per axis
+    counts = box.prod(axis=1)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    # Per-face constants, component-major so a gather by face yields rows.
+    corners = np.ascontiguousarray(tri.transpose(1, 2, 0))           # (corner, xyz, F)
+    edges = corners[[1, 2, 0]] - corners                             # v1-v0, v2-v1, v0-v2
+    normal = np.cross(edges[0], edges[1], axis=0)
+    plane_r = half * (np.abs(normal[0]) + np.abs(normal[1]) + np.abs(normal[2]))
+    # The axis edge x unit_m is 0 at m, e_l at j and -e_j at l, where j, l
+    # follow m cyclically; its box radius is half (|e_l| + |e_j|).
+    after = [((m + 1) % 3, (m + 2) % 3) for m in range(3)]
+    axes_r = np.stack([half * (np.abs(e[l]) + np.abs(e[j]))
+                       for e in edges for j, l in after])             # (9, F)
+
+    total = int(ends[-1]) if len(ends) else 0
+    for start in range(0, total, SAT_CHUNK_ROWS):
+        stop = min(start + SAT_CHUNK_ROWS, total)
+        first, last = np.searchsorted(ends, [start, stop - 1], side="right")
+        if first == last:
+            # Rows of one face: its constants broadcast instead of being gathered.
+            fid = slice(first, first + 1)
+            local = np.arange(start, stop) - starts[first]
+        else:
+            span = np.arange(first, last + 1)
+            fid = np.repeat(span, np.minimum(ends[span], stop) - np.maximum(starts[span], start))
+            local = np.arange(start, stop) - starts[fid]
+        yz, z = np.divmod(local, box[fid, 2])
+        x, y = np.divmod(yz, box[fid, 1])
+        cells = lo[fid].T + np.stack([x, y, z])
+        p = corners[:, :, fid] - (cells + 0.5)                        # corner - cell centre
+        ok = ((p.min(axis=0) <= half) & (p.max(axis=0) >= -half)).all(axis=0)
+        n = normal[:, fid]
+        ok &= np.abs(p[0, 0] * n[0] + p[0, 1] * n[1] + p[0, 2] * n[2]) <= plane_r[fid]
+        if not ok.all():
+            keep = np.flatnonzero(ok)
+            p, cells = p[:, :, keep], cells[:, keep]
+            fid = fid if first == last else fid[keep]
+        e, r = edges[:, :, fid], axes_r[:, fid]
+        hit = np.ones(cells.shape[1], dtype=bool)
+        for k in range(9):
+            edge, (j, l) = e[k // 3], after[k % 3]
+            # p . axis with the zero term dropped, which leaves every bit as is.
+            q0, q1, q2 = (c[j] * edge[l] - c[l] * edge[j] for c in p)
+            hit &= ((np.minimum(np.minimum(q0, q1), q2) <= r[k])
+                    & (np.maximum(np.maximum(q0, q1), q2) >= -r[k]))
+        grid[tuple(cells[:, hit])] = True
     return grid
 
 
@@ -155,7 +191,7 @@ def voxel_iou(mesh_a: TriangleMesh, mesh_b: TriangleMesh, resolution: int = 32) 
     """Volume IoU percentage on a shared cubic grid over both meshes.
 
     A mesh that is not watertight is scored by its surface shell, with a
-    UserWarning for each such mesh.
+    UserWarning for each such mesh. Non-finite vertices raise NumericalError.
     """
     iou = _grid_iou(mesh_a, mesh_b, resolution)
     for mesh in (mesh_a, mesh_b):
@@ -169,6 +205,8 @@ def _grid_iou(mesh_a: TriangleMesh, mesh_b: TriangleMesh, resolution: int) -> fl
     if resolution < 8:
         raise ValueError("resolution must be >= 8")
     joint = np.concatenate([mesh_a.vertices, mesh_b.vertices])
+    if not np.isfinite(joint).all():
+        raise NumericalError("voxel_iou got non-finite vertices")
     lo, hi = joint.min(axis=0), joint.max(axis=0)
     center = (lo + hi) / 2.0
     side = float((hi - lo).max()) * 1.01
@@ -236,6 +274,7 @@ def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
                             threshold, iou, resolution,
                             iou_mode="volume" if watertight else "surface")
 
+    _kdtree()  # import here, not in a worker: an import mutates sys.modules
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         reports = list(pool.map(one, range(len(dataset))))
     aggregate = {

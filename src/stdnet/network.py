@@ -48,6 +48,15 @@ class NetworkConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def parameter_count(self) -> int:
+        """Number of float64 parameters a network of this config holds, by arithmetic."""
+        def layer(n_in: int, n_out: int) -> int:
+            return (self.hops + 1) * n_in * n_out + (n_out if self.use_bias else 0)
+        c = self.channels
+        tail = (self.layers_per_block - 1) * layer(c, c) + layer(c, 3)
+        return (layer(self.in_channels, c) + (self.blocks - 1) * layer(c, c)
+                + self.blocks * tail)
+
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkConfig":
         cfg = cls(**data)
@@ -362,8 +371,10 @@ def load_checkpoint(path) -> DeformationNetwork:
     """Read a checkpoint written by ``save_checkpoint``.
 
     Raises DataFormatError unless the file is exactly magic, header and the
-    parameters the header lists: a header length past the end of the file,
-    a truncated parameter and trailing bytes are all rejected.
+    parameters the header lists. A header length past the end of the file is
+    rejected, and so is a payload of any size but the one the header's config
+    needs (truncated, trailing bytes, or an architecture too large to hold),
+    before the network is built.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -378,8 +389,13 @@ def load_checkpoint(path) -> DeformationNetwork:
             header = json.loads(fh.read(header_len).decode("ascii"))
             config = NetworkConfig.from_dict(header["config"])
             entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+            expected = 8 * config.parameter_count()
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"bad checkpoint header: {exc}") from exc
+        payload = size - fh.tell()
+        if payload != expected:
+            raise DataFormatError(
+                f"checkpoint holds {payload} parameter bytes; its config needs {expected}")
         net = DeformationNetwork(config)
         params = net.parameters()
         if [n for n, _ in entries] != list(params):
@@ -387,11 +403,6 @@ def load_checkpoint(path) -> DeformationNetwork:
         for name, shape in entries:
             if params[name].shape != shape:
                 raise DataFormatError(f"checkpoint shape mismatch for {name}")
-            count = int(np.prod(shape))
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise DataFormatError(f"checkpoint truncated at {name}")
+            raw = fh.read(params[name].nbytes)
             params[name][...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-        if fh.read(1):
-            raise DataFormatError("checkpoint has trailing bytes after the last parameter")
     return net

@@ -220,6 +220,22 @@ class TestTrainDeformEval:
         assert main(["deform", str(checkpoint), str(unit_cube_json),
                      "--out", str(tmp_path / "d"), "--quiet"]) == 2
 
+    def test_deform_oversized_architecture_is_data_error(self, tmp_path, unit_cube_json):
+        # A million channels would need terabytes; the payload size gives it away
+        # before anything is allocated.
+        checkpoint = tmp_path / "net.stdn"
+        save_checkpoint(checkpoint, DeformationNetwork(
+            TrainConfig(channels=6, layers_per_block=2).network_config()))
+        blob = checkpoint.read_bytes()
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16:16 + header_len])
+        header["config"]["channels"] = 1000000
+        new_header = json.dumps(header).encode("ascii")
+        checkpoint.write_bytes(blob[:8] + len(new_header).to_bytes(8, "little")
+                               + new_header + blob[16 + header_len:])
+        assert main(["deform", str(checkpoint), str(unit_cube_json),
+                     "--out", str(tmp_path / "d"), "--quiet"]) == 2
+
     def test_eval_bad_checkpoint_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.stdn"
         bad.write_bytes(b"NOTMAGIC")

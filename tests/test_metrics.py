@@ -1,20 +1,80 @@
+import builtins
 import json
+import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from stdnet import (DatasetPair, DeformationNetwork, EmptyInputError,
-                    NetworkConfig, ObbNode, TriangleMesh, evaluate, f1_score,
-                    mesh_cuboid, voxel_iou, write_metrics)
+from stdnet import (FIXTURE_KINDS, DatasetPair, DeformationNetwork,
+                    EmptyInputError, NetworkConfig, NumericalError, ObbNode,
+                    TriangleMesh, evaluate, f1_score, make_fixtures, mesh_cuboid,
+                    network_forward, voxel_iou, write_metrics)
+from stdnet import metrics
 from stdnet.fixtures import icosphere
-from stdnet.metrics import chamfer_metric, mesh_occupancy, normalize_to_unit_cube
+from stdnet.metrics import (chamfer_metric, mesh_occupancy, normalize_to_unit_cube,
+                            surface_voxels)
 
 
 def cube_mesh(half=0.5, center=(0, 0, 0), subdivisions=0):
     box = ObbNode(np.array(center, dtype=float), np.eye(3), (half, half, half))
     return mesh_cuboid(box, subdivisions)
+
+
+def reference_surface_voxels(mesh, origin, cell, resolution):
+    """The per-face separating-axis loop that ``surface_voxels`` replaced."""
+    grid = np.zeros((resolution, resolution, resolution), dtype=bool)
+    verts = (mesh.vertices - origin) / cell
+    half = 0.5
+    for i, j, k in mesh.faces:
+        tri = verts[[i, j, k]]
+        lo = np.clip(np.floor(tri.min(axis=0)).astype(int), 0, resolution - 1)
+        hi = np.clip(np.floor(tri.max(axis=0)).astype(int), 0, resolution - 1)
+        xs, ys, zs = [np.arange(l, h + 1) for l, h in zip(lo, hi)]
+        cx, cy, cz = np.meshgrid(xs, ys, zs, indexing="ij")
+        centers = np.column_stack([cx.ravel(), cy.ravel(), cz.ravel()]) + 0.5
+        v0, v1, v2 = tri
+        p0, p1, p2 = v0 - centers, v1 - centers, v2 - centers
+        ok = np.ones(len(centers), dtype=bool)
+        for axis in range(3):
+            lo_p = np.minimum(np.minimum(p0[:, axis], p1[:, axis]), p2[:, axis])
+            hi_p = np.maximum(np.maximum(p0[:, axis], p1[:, axis]), p2[:, axis])
+            ok &= (lo_p <= half) & (hi_p >= -half)
+        e0, e1, e2 = v1 - v0, v2 - v1, v0 - v2
+        normal = np.cross(e0, e1)
+        ok &= np.abs((p0 * normal).sum(axis=1)) <= half * np.abs(normal).sum()
+        for e in (e0, e1, e2):
+            for unit in np.eye(3):
+                axis = np.cross(e, unit)
+                if not axis.any():
+                    continue
+                r = half * np.abs(axis).sum()
+                q0, q1, q2 = p0 @ axis, p1 @ axis, p2 @ axis
+                ok &= ((np.minimum(np.minimum(q0, q1), q2) <= r)
+                       & (np.maximum(np.maximum(q0, q1), q2) >= -r))
+        grid[cx.ravel()[ok], cy.ravel()[ok], cz.ravel()[ok]] = True
+    return grid
+
+
+def joint_grid(*meshes, resolution=32):
+    """The origin and cell size ``voxel_iou`` puts over these meshes."""
+    joint = np.concatenate([m.vertices for m in meshes])
+    lo, hi = joint.min(axis=0), joint.max(axis=0)
+    side = float((hi - lo).max()) * 1.01
+    return (lo + hi) / 2.0 - side / 2.0, side / resolution
+
+
+def random_mesh(seed, n_vertices=40, n_faces=80):
+    rng = np.random.default_rng(seed)
+    faces = np.array([rng.choice(n_vertices, 3, replace=False) for _ in range(n_faces)])
+    return TriangleMesh(rng.uniform(-1.0, 1.0, (n_vertices, 3)), faces)
+
+
+def dense_nearest_sq_dists(a, b):
+    diff = a[:, None, :] - b[None, :, :]
+    return (diff * diff).sum(axis=2).min(axis=1)
 
 
 class TestF1:
@@ -50,6 +110,34 @@ class TestF1:
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             f1_score(np.zeros((2, 3)), np.zeros((2, 3)), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.random.default_rng(5).normal(size=(20, 3))
+        broken = pts.copy()
+        broken[3, 1] = bad
+        with pytest.raises(NumericalError):
+            f1_score(broken, pts, 1e-2)
+        with pytest.raises(NumericalError):
+            f1_score(pts, broken, 1e-2)
+
+    def test_nearest_distances_match_dense_reference(self):
+        rng = np.random.default_rng(6)
+        a, b = rng.uniform(size=(300, 3)), rng.uniform(size=(250, 3))
+        b = np.concatenate([b, b[:40], a[:10]])  # duplicates, and exact matches
+        got = metrics._nearest_sq_dists(a, b)
+        assert np.array_equal(got, dense_nearest_sq_dists(a, b))
+        assert (got[:10] == 0.0).all()
+
+    def test_threshold_equal_to_a_sample_distance_counts(self):
+        rng = np.random.default_rng(7)
+        pred, gt = rng.uniform(size=(200, 3)), rng.uniform(size=(180, 3))
+        to_gt, to_pred = dense_nearest_sq_dists(pred, gt), dense_nearest_sq_dists(gt, pred)
+        for threshold in (np.sort(to_gt)[100], np.sort(to_pred)[37]):
+            precision = 100.0 * (to_gt <= threshold).mean()
+            recall = 100.0 * (to_pred <= threshold).mean()
+            f1 = 2.0 * precision * recall / (precision + recall)
+            assert f1_score(pred, gt, threshold) == (f1, precision, recall)
 
 
 class TestVoxelIou:
@@ -97,6 +185,16 @@ class TestVoxelIou:
         with pytest.raises(ValueError):
             voxel_iou(mesh, mesh, 4)
 
+    def test_non_finite_vertex_rejected(self):
+        good = cube_mesh()
+        vertices = good.vertices.copy()
+        vertices[2, 0] = np.nan
+        bad = good.replace_vertices(vertices)
+        with pytest.raises(NumericalError):
+            voxel_iou(good, bad, 16)
+        with pytest.raises(NumericalError):
+            metrics._grid_iou(bad, good, 16)
+
     def test_occupancy_fills_interior(self):
         mesh = cube_mesh(half=0.5)
         res = 16
@@ -104,6 +202,79 @@ class TestVoxelIou:
         cell = 1.01 / res
         occ = mesh_occupancy(mesh, origin, cell, res)
         assert occ.all()  # the cube spans the whole grid: shell + interior
+
+
+class TestSurfaceVoxels:
+    """The chunked separating-axis test against the per-face loop it replaced."""
+
+    @pytest.mark.parametrize("kind", FIXTURE_KINDS)
+    def test_fixtures_and_predictions_match_loop(self, kind):
+        net = DeformationNetwork(NetworkConfig(channels=6, layers_per_block=2, seed=1))
+        rng = np.random.default_rng(2)
+        for block in net.blocks:  # non-zero displacements, so vertices move
+            for w in block.coord.weights:
+                w[...] = rng.normal(0.0, 1e-2, w.shape)
+        (pair,) = make_fixtures(kind, seed=0)[:1]
+        for subdivisions in (0, 1):
+            pair.source_subdivisions = subdivisions
+            source = pair.source_meshes()
+            pred = network_forward(net, *source)[-1]
+            meshes = [*source, pred] + ([pair.target] if subdivisions == 0 else [])
+            origin, cell = joint_grid(pred, pair.target)
+            for mesh in meshes:
+                expected = reference_surface_voxels(mesh, origin, cell, 32)
+                assert np.array_equal(surface_voxels(mesh, origin, cell, 32), expected)
+
+    @pytest.mark.parametrize("resolution", [16, 32])
+    def test_random_meshes_match_loop(self, resolution):
+        for seed in range(3):
+            mesh = random_mesh(seed)
+            origin, cell = joint_grid(mesh, resolution=resolution)
+            assert np.array_equal(surface_voxels(mesh, origin, cell, resolution),
+                                  reference_surface_voxels(mesh, origin, cell, resolution))
+
+    def test_faces_outside_the_grid_are_clipped_like_loop(self):
+        mesh = random_mesh(3)
+        origin, cell = np.array([-0.4, -0.6, -0.3]), 0.05   # covers a corner only
+        grid = surface_voxels(mesh, origin, cell, 16)
+        assert grid.any() and not grid.all()
+        assert np.array_equal(grid, reference_surface_voxels(mesh, origin, cell, 16))
+
+    def test_axis_aligned_cube_with_zero_cross_axes_matches_loop(self):
+        mesh = cube_mesh(subdivisions=1)
+        for resolution in (16, 40):
+            origin, cell = joint_grid(mesh, resolution=resolution)
+            assert np.array_equal(surface_voxels(mesh, origin, cell, resolution),
+                                  reference_surface_voxels(mesh, origin, cell, resolution))
+
+    def test_exact_ties_independent_of_face_order_and_chunking(self, monkeypatch):
+        # Corners on cell corners: edges run along cell edges and faces along
+        # cell faces, so many separating-axis margins are exactly zero.
+        mesh = TriangleMesh([[1, 1, 1], [6, 1, 1], [1, 6, 1], [1, 1, 6], [6, 6, 6]],
+                            [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 4], [1, 4, 3]])
+        origin, cell = np.zeros(3), 1.0
+        grid = surface_voxels(mesh, origin, cell, 8)
+        assert grid.any()
+        order = np.random.default_rng(8).permutation(mesh.n_faces)
+        shuffled = TriangleMesh(mesh.vertices, mesh.faces[order])
+        assert np.array_equal(surface_voxels(shuffled, origin, cell, 8), grid)
+        for chunk_rows in (1, 7):
+            monkeypatch.setattr(metrics, "SAT_CHUNK_ROWS", chunk_rows)
+            assert np.array_equal(surface_voxels(mesh, origin, cell, 8), grid)
+            assert np.array_equal(surface_voxels(shuffled, origin, cell, 8), grid)
+
+    def test_memory_bounded_on_faces_spanning_the_grid(self):
+        # The per-face loop peaked at 342 MiB here.
+        mesh = TriangleMesh([[0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 0, 1]], [[0, 1, 2], [1, 2, 3]])
+        origin, cell = np.full(3, -0.005), 1.01 / 128
+        tracemalloc.start()
+        try:
+            grid = surface_voxels(mesh, origin, cell, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.sum() > 128 * 128
+        assert peak < 64 * 2 ** 20
 
 
 class TestChamferMetric:
@@ -188,6 +359,32 @@ class TestEvaluate:
         reports, _ = evaluate(self._zero_net(), pairs, seed=0, resolution=16)
         assert [r.iou_mode for r in reports] == ["volume", "surface"]
         assert off_main == []
+
+    def test_workers_load_no_module(self, monkeypatch):
+        # Loading a module from a worker thread mutates sys.modules under the
+        # pool's feet; evaluate loads scipy.spatial before it starts the pool.
+        monkeypatch.delitem(sys.modules, "scipy.spatial", raising=False)
+        metrics._kdtree.cache_clear()
+        loaded_off_main = []
+        real_import = builtins.__import__
+
+        def spy(name, *args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                return real_import(name, *args, **kwargs)
+            before = set(sys.modules)
+            try:
+                return real_import(name, *args, **kwargs)
+            finally:
+                loaded_off_main.extend(sorted(set(sys.modules) - before))
+
+        monkeypatch.setattr(builtins, "__import__", spy)
+        monkeypatch.setenv("STDNET_THREADS", "2")
+        cube = ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5))
+        pairs = [DatasetPair(f"p{i}", cube, icosphere(1, radius=0.8 + 0.1 * i))
+                 for i in range(2)]
+        evaluate(self._zero_net(), pairs, seed=0, resolution=16)
+        assert "scipy.spatial" in sys.modules
+        assert loaded_off_main == []
 
     def test_jsonl_output(self, tmp_path):
         cube = ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5))

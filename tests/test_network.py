@@ -311,6 +311,14 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("overrides", [
+        {}, {"hops": 0}, {"use_bias": False}, {"blocks": 1, "layers_per_block": 1},
+        {"in_channels": 5, "channels": 7, "hops": 3}])
+    def test_parameter_count_matches_network(self, overrides):
+        cfg = small_config(**overrides)
+        sizes = [p.size for p in DeformationNetwork(cfg).parameters().values()]
+        assert cfg.parameter_count() == sum(sizes)
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "model.stdn"
         net = DeformationNetwork(small_config())

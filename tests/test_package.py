@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stdnet
@@ -15,3 +18,13 @@ def test_no_module_imports_a_private_name_from_a_sibling():
             offenders += [f"{path.name}: {alias.name}" for alias in node.names
                           if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert offenders == []
+
+
+def test_import_does_not_load_scipy_spatial():
+    # scipy.spatial costs ~0.2 s of CPU to import; only f1_score needs it.
+    code = "import sys, stdnet; print('scipy.spatial' in sys.modules)"
+    src = str(Path(stdnet.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
