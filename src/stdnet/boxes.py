@@ -157,9 +157,12 @@ def save_structure(node: ObbNode, path) -> None:
 
 
 def load_structure(path) -> ObbNode:
+    """Read a box tree; a tree nested past Python's recursion limit is a DataFormatError."""
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"invalid JSON: {exc}") from exc
-    return structure_from_dict(data)
+        text = fh.read()
+    try:
+        return structure_from_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DataFormatError("box tree nested too deeply") from exc

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import ObbNode, fit_obb, mesh_cuboid
-from .mesh import TriangleMesh, midpoint_subdivide
+from .mesh import TriangleMesh, adjacency_csr, midpoint_subdivide
 
 FIXTURE_KINDS = ("cube-to-sphere", "box-to-ellipsoid", "two-box-chair",
                  "random-box-smooth")
@@ -58,12 +58,15 @@ def icosphere(subdivisions: int = 3, radius: float = 1.0) -> TriangleMesh:
 
 def laplacian_smooth(mesh: TriangleMesh, iterations: int = 3,
                      strength: float = 0.4) -> TriangleMesh:
-    """Move each vertex toward the mean of its neighbors; topology unchanged."""
-    neighbor_lists = mesh.neighbor_lists()
+    """Move each vertex toward the mean of its neighbors; topology unchanged.
+
+    An isolated vertex keeps its position.
+    """
+    adjacency = adjacency_csr(mesh.n_vertices, mesh.edges)
+    degree = np.diff(adjacency.indptr)[:, None]
     vertices = np.array(mesh.vertices)
     for _ in range(iterations):
-        means = np.array([vertices[nb].mean(axis=0) if len(nb) else vertices[p]
-                          for p, nb in enumerate(neighbor_lists)])
+        means = np.divide(adjacency @ vertices, degree, out=vertices.copy(), where=degree > 0)
         vertices = vertices + strength * (means - vertices)
     return mesh.replace_vertices(vertices)
 

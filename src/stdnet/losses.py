@@ -11,6 +11,7 @@ evaluated on every block output and summed across blocks.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -101,43 +102,54 @@ def _as_point_tensor(obj, tape: Tape | None) -> Tensor:
     return tape.leaf(arr)
 
 
-def nearest_sqdist(a: Tensor, b: Tensor):
-    """Per-row nearest squared distance from a's points into b, plus indices.
+@functools.cache
+def kdtree():
+    """scipy's ``cKDTree``, imported on first use: loading scipy.spatial costs ~0.15 s of CPU."""
+    from scipy.spatial import cKDTree
+    return cKDTree
 
-    Nearest neighbors are selected through a product-form distance matrix (one
-    matrix product), then the chosen pair distances are recomputed directly as
-    sums of squared coordinate differences, so exact matches yield exactly
-    zero and values are never negative. The selection is a constant of the
-    backward pass (lowest index at ties).
+
+def nearest_neighbors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distance from each row of ``a`` to its nearest row of ``b``, and that row.
+
+    A KD-tree picks the neighbour (at exact ties one of the tied rows, fixed
+    for a given input but not always the lowest index); the distance is then
+    the sum of squared coordinate differences, so an exact match gives 0.
+    Non-finite points raise NumericalError.
     """
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericalError("nearest-neighbour search got non-finite points")
+    _, idx = kdtree()(b).query(a)
+    diff = a - b[idx]
+    return (diff * diff).sum(axis=1), idx
+
+
+def nearest_sqdist(a: Tensor, b: Tensor):
+    """``nearest_neighbors`` as a tape op (n, 1), plus the indices; the pick is a constant."""
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"point dimensionality mismatch: {a.shape} vs {b.shape}")
-    av, bv = a.value, b.value
-    scores = av @ bv.T
-    scores *= -2.0
-    scores += (bv * bv).sum(axis=1)[None, :]  # row-constant |a|^2 term dropped
-    idx = np.argmin(scores, axis=1)
-    diff = av - bv[idx]
-    values = (diff * diff).sum(axis=1).reshape(-1, 1)
+    sq, idx = nearest_neighbors(a.value, b.value)
 
     def vjp(g):
-        scaled = 2.0 * g * diff  # g is (n, 1), broadcasts over coordinates
+        scaled = 2.0 * g * (a.value - b.value[idx])  # g is (n, 1), broadcasts over coordinates
         ga = scaled if a.requires_grad else None
         gb = None
         if b.requires_grad:
-            gb = np.zeros_like(bv)
+            gb = np.zeros_like(b.value)
             np.add.at(gb, idx, -scaled)
         return (ga, gb)
 
-    return a.tape._record(values, (a, b), vjp, "nearest_sqdist"), idx
+    return a.tape._record(sq.reshape(-1, 1), (a, b), vjp, "nearest_sqdist"), idx
 
 
 def chamfer_loss(pred, target) -> Tensor:
     """Summed squared nearest-neighbor distances, both directions.
 
     Accepts SampleBatch, Tensor, or plain (n, d) arrays; at least one operand
-    should carry a tape when gradients are wanted. Distances are compared in
-    squared form; ties resolve to the lowest index.
+    should carry a tape when gradients are wanted. Neighbours come from
+    ``nearest_neighbors``: at a tie the value is the same whichever tied point
+    is picked, and only that point gets the gradient. Non-finite points raise
+    NumericalError.
     """
     tape = None
     for obj in (pred, target):

@@ -42,7 +42,6 @@ class TriangleMesh:
         self.vertices = vertices
         self.faces = faces
         self._edges = None
-        self._neighbors = None
 
     @property
     def n_vertices(self) -> int:
@@ -65,19 +64,6 @@ class TriangleMesh:
             self._edges = e
         return self._edges
 
-    def neighbor_lists(self) -> list[np.ndarray]:
-        """Per-vertex sorted arrays of adjacent vertex indices."""
-        if self._neighbors is None:
-            lists: list[list[int]] = [[] for _ in range(self.n_vertices)]
-            for a, b in self.edges:
-                lists[a].append(int(b))
-                lists[b].append(int(a))
-            self._neighbors = [np.array(sorted(l), dtype=np.int64) for l in lists]
-        return self._neighbors
-
-    def neighbors(self, p: int) -> np.ndarray:
-        return self.neighbor_lists()[p]
-
     @property
     def euler_characteristic(self) -> int:
         return self.n_vertices - self.n_edges + self.n_faces
@@ -94,7 +80,6 @@ class TriangleMesh:
         """New mesh with the same topology and different vertex positions."""
         out = TriangleMesh(vertices, self.faces)
         out._edges = self._edges
-        out._neighbors = self._neighbors
         return out
 
     def __repr__(self) -> str:

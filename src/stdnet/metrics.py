@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import warnings
@@ -15,7 +14,7 @@ from scipy import ndimage
 from .autodiff import Tape
 from .errors import EmptyInputError, NumericalError
 from .fixtures import DatasetPair
-from .losses import chamfer_loss, sample_surface
+from .losses import chamfer_loss, kdtree, nearest_neighbors, sample_surface
 from .mesh import TriangleMesh
 from .network import DeformationNetwork
 
@@ -57,24 +56,6 @@ def chamfer_metric(points_a: np.ndarray, points_b: np.ndarray) -> float:
     return chamfer_loss(tape.leaf(points_a), tape.leaf(points_b)).item()
 
 
-@functools.cache
-def _kdtree():
-    """scipy's KD-tree, imported on first use: loading scipy.spatial costs ~0.15 s of CPU."""
-    from scipy.spatial import cKDTree
-    return cKDTree
-
-
-def _nearest_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distance from each row of ``a`` to its nearest row of ``b``.
-
-    The KD-tree picks the neighbour; the distance is then recomputed as the
-    sum of squared coordinate differences, as ``losses.nearest_sqdist`` does.
-    """
-    _, idx = _kdtree()(b).query(a)
-    diff = a - b[idx]
-    return (diff * diff).sum(axis=1)
-
-
 def f1_score(pred_points, gt_points, threshold: float) -> tuple[float, float, float]:
     """(f1, precision, recall) percentages at a squared-distance threshold.
 
@@ -89,10 +70,8 @@ def f1_score(pred_points, gt_points, threshold: float) -> tuple[float, float, fl
         raise EmptyInputError("f1_score needs two non-empty point sets")
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
-    if not (np.isfinite(pred).all() and np.isfinite(gt).all()):
-        raise NumericalError("f1_score got non-finite points")
-    precision = 100.0 * (_nearest_sq_dists(pred, gt) <= threshold).mean()
-    recall = 100.0 * (_nearest_sq_dists(gt, pred) <= threshold).mean()
+    precision = 100.0 * (nearest_neighbors(pred, gt)[0] <= threshold).mean()
+    recall = 100.0 * (nearest_neighbors(gt, pred)[0] <= threshold).mean()
     f1 = 0.0
     if precision > 0 and recall > 0:
         f1 = 2.0 * precision * recall / (precision + recall)
@@ -274,7 +253,7 @@ def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
                             threshold, iou, resolution,
                             iou_mode="volume" if watertight else "surface")
 
-    _kdtree()  # import here, not in a worker: an import mutates sys.modules
+    kdtree()  # import here, not in a worker: an import mutates sys.modules
     with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
         reports = list(pool.map(one, range(len(dataset))))
     aggregate = {

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,29 @@ from .mesh import (AdjacencyOperator, NORMALIZATION_MODES, TriangleMesh, join_in
                    midpoint_subdivide, subdivide_topology, unique_edges)
 
 CHECKPOINT_MAGIC = b"STDN0001"
+# The JSON values a config field of each annotated type accepts.
+_JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def config_from_dict(cls, data):
+    """Build and validate the config dataclass ``cls`` from a parsed JSON object.
+
+    Unknown keys, and values that are not of their field's JSON type (an int
+    field takes integers only, not floats or bools), raise DataFormatError.
+    """
+    if not isinstance(data, dict):
+        raise DataFormatError("config JSON must be an object")
+    types = {f.name: f.type for f in fields(cls)}
+    if set(data) - set(types):
+        raise DataFormatError(f"unknown config keys: {sorted(set(data) - set(types))}")
+    for name, value in data.items():
+        if (isinstance(value, bool) != (types[name] == "bool")
+                or not isinstance(value, _JSON_TYPES[types[name]])):
+            raise DataFormatError(f"config key {name!r} must be a JSON {types[name]}, "
+                                  f"got {value!r}")
+    cfg = cls(**data)
+    cfg.validate()
+    return cfg
 
 
 @dataclass
@@ -59,9 +82,7 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkConfig":
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return config_from_dict(cls, data)
 
 
 class TagcnLayer:

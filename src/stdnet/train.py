@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -13,8 +13,8 @@ from .errors import DataFormatError, EmptyInputError, NumericalError
 from .fixtures import DatasetPair
 from .losses import chamfer_loss, sample_surface, total_loss
 from .mesh import TriangleMesh
-from .network import (DeformationNetwork, ForwardPlan, NetworkConfig, network_forward,
-                      save_checkpoint)
+from .network import (DeformationNetwork, ForwardPlan, NetworkConfig, config_from_dict,
+                      network_forward, save_checkpoint)
 
 CURVE_HEADER = "iteration,l_cd,l_lap,l_edge,L_all,val_cd"
 _VAL_STREAM = 2  # train draws use seed stream 1, validation stream 2
@@ -82,15 +82,7 @@ class TrainConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"invalid config JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise DataFormatError("config JSON must be an object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise DataFormatError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return config_from_dict(cls, data)
 
 
 class Adam:

@@ -101,6 +101,23 @@ class TestFixtures:
         assert outs[0] == outs[1]
 
 
+def rewrite_header_config(checkpoint, **changes):
+    """Overwrite keys of a checkpoint header's network config in place."""
+    blob = checkpoint.read_bytes()
+    header_len = int.from_bytes(blob[8:16], "little")
+    header = json.loads(blob[16:16 + header_len])
+    header["config"].update(changes)
+    new_header = json.dumps(header).encode("ascii")
+    checkpoint.write_bytes(blob[:8] + len(new_header).to_bytes(8, "little")
+                           + new_header + blob[16 + header_len:])
+
+
+def deep_box_json(depth):
+    """Box-tree JSON text with ``depth`` nested levels of one child each."""
+    box = '"center": [0, 0, 0], "axes": [1, 0, 0, 0, 1, 0, 0, 0, 1], "extents": [1, 1, 1]'
+    return ('{' + box + ', "children": [') * depth + '{' + box + '}' + ']}' * depth
+
+
 class TestTrainDeformEval:
     def test_full_pipeline(self, tmp_path, unit_cube_json):
         fx = tmp_path / "fx"
@@ -226,15 +243,46 @@ class TestTrainDeformEval:
         checkpoint = tmp_path / "net.stdn"
         save_checkpoint(checkpoint, DeformationNetwork(
             TrainConfig(channels=6, layers_per_block=2).network_config()))
-        blob = checkpoint.read_bytes()
-        header_len = int.from_bytes(blob[8:16], "little")
-        header = json.loads(blob[16:16 + header_len])
-        header["config"]["channels"] = 1000000
-        new_header = json.dumps(header).encode("ascii")
-        checkpoint.write_bytes(blob[:8] + len(new_header).to_bytes(8, "little")
-                               + new_header + blob[16 + header_len:])
+        rewrite_header_config(checkpoint, channels=1000000)
         assert main(["deform", str(checkpoint), str(unit_cube_json),
                      "--out", str(tmp_path / "d"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("changes", [{"channels": 6.0}, {"hops": 2.0},
+                                         {"seed": True}, {"use_bias": 1}])
+    def test_deform_mistyped_header_config_is_data_error(self, tmp_path, unit_cube_json,
+                                                          changes):
+        # 6.0 channels passes the payload-size check; only the type gives it away.
+        checkpoint = tmp_path / "net.stdn"
+        save_checkpoint(checkpoint, DeformationNetwork(
+            TrainConfig(channels=6, layers_per_block=2).network_config()))
+        rewrite_header_config(checkpoint, **changes)
+        assert main(["deform", str(checkpoint), str(unit_cube_json),
+                     "--out", str(tmp_path / "d"), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("changes", [{"iterations": 2.5}, {"channels": 4.0},
+                                         {"samples": True}, {"use_bias": "yes"},
+                                         {"lr": "fast"}])
+    def test_train_mistyped_config_is_data_error(self, tmp_path, changes):
+        cfg = small_train_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **changes}))
+        assert main(["train", "cube-to-sphere", "--out", str(tmp_path / "run"),
+                     "--config", str(cfg), "--quiet"]) == 2
+        assert not (tmp_path / "run").exists()
+
+    def test_deeply_nested_box_tree_is_data_error(self, tmp_path, capsys):
+        fx = tmp_path / "fx"
+        main(["fixtures", "cube-to-sphere", "--out", str(fx), "--quiet"])
+        (fx / "cube_to_sphere.box.json").write_text(deep_box_json(500))
+        assert main(["meshbox", str(fx / "cube_to_sphere.box.json"),
+                     "--out", str(tmp_path / "m"), "--quiet"]) == 2
+        assert main(["train", str(fx), "--out", str(tmp_path / "run"),
+                     "--config", str(small_train_config(tmp_path)), "--quiet"]) == 2
+        checkpoint = tmp_path / "net.stdn"
+        save_checkpoint(checkpoint, DeformationNetwork(
+            TrainConfig(channels=6, layers_per_block=2).network_config()))
+        assert main(["eval", str(checkpoint), str(fx), "--out", str(tmp_path / "e"),
+                     "--quiet"]) == 2
+        assert capsys.readouterr().err.count("box tree nested too deeply") == 3
 
     def test_eval_bad_checkpoint_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.stdn"

@@ -6,7 +6,8 @@ import pytest
 from stdnet import (DegenerateMeshError, EmptyInputError, LossReport, ObbNode,
                     Tape, chamfer_loss, edge_loss, gradcheck, laplacian_loss,
                     mesh_cuboid, sample_surface, total_loss)
-from stdnet.losses import barycentric_coefficients, triangle_areas
+from stdnet.errors import NumericalError
+from stdnet.losses import barycentric_coefficients, nearest_neighbors, triangle_areas
 from stdnet.mesh import TriangleMesh
 from stdnet.network import BlockOutput
 
@@ -163,6 +164,74 @@ class TestChamfer:
             lambda ts: chamfer_loss(ts[0], ts[1]),
             [rng.normal(size=(8, 3)), rng.normal(size=(6, 3))], tol=1e-5)
         assert report.passed, str(report)
+
+
+def product_form_nearest(a, b):
+    """The product-form search ``nearest_neighbors`` replaced: lowest index at ties."""
+    scores = a @ b.T
+    scores *= -2.0
+    scores += (b * b).sum(axis=1)[None, :]
+    idx = np.argmin(scores, axis=1)
+    diff = a - b[idx]
+    return (diff * diff).sum(axis=1), idx
+
+
+def product_form_chamfer(a, b):
+    return (product_form_nearest(a, b)[0].reshape(-1, 1).sum()
+            + product_form_nearest(b, a)[0].reshape(-1, 1).sum())
+
+
+class TestNearestNeighbors:
+    def test_chamfer_matches_product_form_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.uniform(size=(1000, 3)), rng.uniform(size=(1000, 3))
+        for x, y in ((a, b), (b, a)):
+            sq, idx = nearest_neighbors(x, y)
+            ref_sq, ref_idx = product_form_nearest(x, y)
+            assert np.array_equal(idx, ref_idx)
+            assert sq.tobytes() == ref_sq.tobytes()
+        t = Tape()
+        ta, tb = t.leaf(a, requires_grad=True), t.leaf(b, requires_grad=True)
+        loss = chamfer_loss(ta, tb)
+        assert loss.item() == product_form_chamfer(a, b)
+        # with no ties the gradient is 2 (x - nearest) summed over both directions
+        loss.backward()
+        grad_a = np.zeros_like(a)
+        fwd_idx, rev_idx = product_form_nearest(a, b)[1], product_form_nearest(b, a)[1]
+        grad_a += 2.0 * (a - b[fwd_idx])
+        np.add.at(grad_a, rev_idx, -2.0 * (b - a[rev_idx]))
+        assert np.array_equal(ta.grad, grad_a)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.random.default_rng(13).normal(size=(30, 3))
+        broken = pts.copy()
+        broken[7, 2] = bad
+        for a, b in ((broken, pts), (pts, broken)):
+            with pytest.raises(NumericalError):
+                chamfer_loss(a, b)
+            with pytest.raises(NumericalError):
+                nearest_neighbors(a, b)
+        t = Tape()
+        with pytest.raises(NumericalError):
+            chamfer_loss(t.leaf(broken, requires_grad=True), pts)
+
+    def test_ties_are_deterministic_and_keep_the_value(self):
+        # Lattice points, duplicated, against cell centres: every centre has
+        # eight equidistant neighbours, and exact copies tie with their twins.
+        grid = np.stack(np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        b = np.concatenate([grid, grid[::3]])
+        a = np.concatenate([grid[:-1] + 0.5, grid[::7]])
+        first, again = chamfer_loss(a, b).item(), chamfer_loss(a, b).item()
+        assert first == again == product_form_chamfer(a, b)
+        assert np.array_equal(nearest_neighbors(a, b)[1], nearest_neighbors(a, b)[1])
+        grads = []
+        for _ in range(2):
+            t = Tape()
+            ta = t.leaf(a, requires_grad=True)
+            chamfer_loss(ta, b).backward()
+            grads.append(ta.grad)
+        assert np.array_equal(grads[0], grads[1])
 
 
 class TestLaplacian:

@@ -6,6 +6,7 @@ from stdnet import (AdjacencyOperator, EmptyInputError, ObbNode, TriangleMesh,
 from stdnet.boxes import (load_structure, save_structure, structure_from_dict,
                           structure_to_dict)
 from stdnet.errors import DataFormatError
+from stdnet.fixtures import icosphere, laplacian_smooth, make_fixtures
 from stdnet.mesh import (format_obj, parse_obj, read_obj, subdivide_topology,
                          unique_edges, write_obj)
 
@@ -35,12 +36,6 @@ class TestTriangleMesh:
             [mesh.faces[:, [0, 1]], mesh.faces[:, [1, 2]], mesh.faces[:, [2, 0]]])
         from_faces.sort(axis=1)
         assert np.array_equal(np.unique(from_faces, axis=0), edges)
-
-    def test_neighbor_symmetry(self):
-        mesh = mesh_cuboid(unit_cube(), 1)
-        for p in range(mesh.n_vertices):
-            for q in mesh.neighbors(p):
-                assert p in mesh.neighbors(int(q))
 
     def test_vertices_are_immutable(self):
         mesh = mesh_cuboid(unit_cube())
@@ -314,6 +309,58 @@ class TestStructureJson:
         path.write_text('{"center": [0, 0, 0]}')
         with pytest.raises(DataFormatError):
             load_structure(path)
+
+    @pytest.mark.parametrize("depth", [500, 5000])
+    def test_deeply_nested_tree_rejected(self, tmp_path, depth):
+        box = '"center": [0, 0, 0], "axes": [1, 0, 0, 0, 1, 0, 0, 0, 1], "extents": [1, 1, 1]'
+        path = tmp_path / "deep.json"
+        path.write_text(('{' + box + ', "children": [') * depth + '{' + box + '}'
+                        + ']}' * depth)
+        with pytest.raises(DataFormatError, match="nested too deeply"):
+            load_structure(path)
+
+    def test_moderately_nested_tree_loads(self, tmp_path):
+        node = unit_cube()
+        for _ in range(50):
+            node = ObbNode(np.zeros(3), np.eye(3), np.ones(3), children=[node])
+        path = tmp_path / "tree.json"
+        save_structure(node, path)
+        assert len(load_structure(path).leaves()) == 1
+
+
+def reference_laplacian_smooth(mesh, iterations, strength):
+    """The per-vertex loop over neighbour lists that ``laplacian_smooth`` replaced."""
+    lists = [[] for _ in range(mesh.n_vertices)]
+    for a, b in mesh.edges:
+        lists[a].append(int(b))
+        lists[b].append(int(a))
+    neighbor_lists = [np.array(sorted(l), dtype=np.int64) for l in lists]
+    vertices = np.array(mesh.vertices)
+    for _ in range(iterations):
+        means = np.array([vertices[nb].mean(axis=0) if len(nb) else vertices[p]
+                          for p, nb in enumerate(neighbor_lists)])
+        vertices = vertices + strength * (means - vertices)
+    return vertices
+
+
+class TestLaplacianSmooth:
+    @staticmethod
+    def meshes():
+        chair = make_fixtures("two-box-chair", 0)[0].target
+        sphere = icosphere(2)
+        noisy = sphere.replace_vertices(
+            sphere.vertices + np.random.default_rng(3).normal(0.0, 0.05, sphere.vertices.shape))
+        small = icosphere(1)
+        isolated = TriangleMesh(np.vstack([small.vertices, [[3.0, -1.0, 2.0]]]), small.faces)
+        return [chair, noisy, isolated]
+
+    @pytest.mark.parametrize("iterations, strength", [(3, 0.4), (5, 0.9)])
+    def test_matches_per_vertex_loop_bit_for_bit(self, iterations, strength):
+        for mesh in self.meshes():
+            got = laplacian_smooth(mesh, iterations, strength)
+            assert got.vertices.tobytes() == reference_laplacian_smooth(
+                mesh, iterations, strength).tobytes()
+            assert np.array_equal(got.faces, mesh.faces)
 
 
 class TestObjIO:

@@ -14,6 +14,7 @@ from stdnet import (FIXTURE_KINDS, DatasetPair, DeformationNetwork,
                     network_forward, voxel_iou, write_metrics)
 from stdnet import metrics
 from stdnet.fixtures import icosphere
+from stdnet.losses import kdtree, nearest_neighbors
 from stdnet.metrics import (chamfer_metric, mesh_occupancy, normalize_to_unit_cube,
                             surface_voxels)
 
@@ -125,7 +126,7 @@ class TestF1:
         rng = np.random.default_rng(6)
         a, b = rng.uniform(size=(300, 3)), rng.uniform(size=(250, 3))
         b = np.concatenate([b, b[:40], a[:10]])  # duplicates, and exact matches
-        got = metrics._nearest_sq_dists(a, b)
+        got = nearest_neighbors(a, b)[0]
         assert np.array_equal(got, dense_nearest_sq_dists(a, b))
         assert (got[:10] == 0.0).all()
 
@@ -364,7 +365,7 @@ class TestEvaluate:
         # Loading a module from a worker thread mutates sys.modules under the
         # pool's feet; evaluate loads scipy.spatial before it starts the pool.
         monkeypatch.delitem(sys.modules, "scipy.spatial", raising=False)
-        metrics._kdtree.cache_clear()
+        kdtree.cache_clear()
         loaded_off_main = []
         real_import = builtins.__import__
 

@@ -21,7 +21,8 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 
 def test_import_does_not_load_scipy_spatial():
-    # scipy.spatial costs ~0.2 s of CPU to import; only f1_score needs it.
+    # scipy.spatial costs ~0.2 s of CPU to import; only the nearest-neighbour
+    # search (chamfer and F1) needs it.
     code = "import sys, stdnet; print('scipy.spatial' in sys.modules)"
     src = str(Path(stdnet.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
