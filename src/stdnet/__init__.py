@@ -8,8 +8,7 @@ a built-in reverse-mode differentiation tape.
 
 __version__ = "0.1.0"
 
-from .autodiff import (GradCheckReport, Tape, Tensor, concat_rows, gather_rows,
-                       gradcheck)
+from .autodiff import GradCheckReport, Tape, Tensor, concat_rows, gradcheck
 from .boxes import (ObbNode, fit_obb, load_structure, mesh_cuboid,
                     save_structure, structure_from_dict, structure_to_dict)
 from .errors import (DataFormatError, DegenerateMeshError, DimensionError,
@@ -22,7 +21,7 @@ from .mesh import (AdjacencyOperator, TriangleMesh, build_adjacency,
                    midpoint_subdivide, read_obj, write_obj)
 from .metrics import MetricReport, evaluate, f1_score, voxel_iou, write_metrics
 from .network import (BlockOutput, DeformationBlock, DeformationNetwork,
-                      NetworkConfig, TagcnLayer, graph_unpool, load_checkpoint,
+                      NetworkConfig, TagcnLayer, load_checkpoint,
                       network_forward, save_checkpoint, tagcn_forward)
 from .selfcheck import gradcheck_suite
 from .train import Adam, TrainConfig, TrainResult, train
@@ -36,7 +35,7 @@ __all__ = [
     "TagcnLayer", "Tape", "Tensor", "TrainConfig", "TrainResult",
     "TriangleMesh", "build_adjacency", "chamfer_loss",
     "concat_rows", "edge_loss", "evaluate", "f1_score", "fit_obb",
-    "gather_rows", "gradcheck", "gradcheck_suite", "graph_unpool", "icosphere",
+    "gradcheck", "gradcheck_suite", "icosphere",
     "laplacian_loss", "laplacian_smooth", "load_checkpoint", "load_structure",
     "make_fixtures", "mesh_cuboid", "midpoint_subdivide",
     "network_forward", "read_obj", "sample_surface", "save_checkpoint",

@@ -128,24 +128,14 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return scalar_mul(-1.0, self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    @property
-    def T(self):
-        return transpose(self)
 
     def relu(self):
         return relu(self)
 
     def square(self):
         return square(self)
-
-    def sqrt(self):
-        return sqrt(self)
 
     def sum(self):
         return reduce_sum(self)
@@ -213,17 +203,6 @@ def square(a: Tensor) -> Tensor:
     return a.tape._record(av * av, (a,), vjp, "square")
 
 
-def sqrt(a: Tensor) -> Tensor:
-    if (a.value < 0.0).any():
-        raise ValueError("sqrt of a negative entry")
-    root = np.sqrt(a.value)
-
-    def vjp(g):
-        return (g * 0.5 / root,)
-
-    return a.tape._record(root, (a,), vjp, "sqrt")
-
-
 def reduce_sum(a: Tensor) -> Tensor:
     shape = a.shape
 
@@ -231,27 +210,6 @@ def reduce_sum(a: Tensor) -> Tensor:
         return (np.full(shape, g[0, 0]),)
 
     return a.tape._record(a.value.sum().reshape(1, 1), (a,), vjp, "reduce_sum")
-
-
-def transpose(a: Tensor) -> Tensor:
-    def vjp(g):
-        return (g.T,)
-
-    return a.tape._record(a.value.T.copy(), (a,), vjp, "transpose")
-
-
-def gather_rows(a: Tensor, indices) -> Tensor:
-    idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise DimensionError(f"gather index out of range for {a.shape[0]} rows")
-    rows, _ = a.shape
-
-    def vjp(g):
-        out = np.zeros((rows, g.shape[1]))
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return a.tape._record(a.value[idx], (a,), vjp, "gather_rows")
 
 
 def concat_rows(tensors) -> Tensor:
@@ -330,31 +288,6 @@ def sparse_matmul(m, x: Tensor) -> Tensor:
         return (m_t @ g,)
 
     return x.tape._record(np.asarray(m @ x.value), (x,), vjp, "sparse_matmul")
-
-
-def weighted_gather(a: Tensor, indices, weights) -> Tensor:
-    """Row r of the result is sum_j weights[r, j] * a[indices[r, j]].
-
-    The terms are added left to right, j = 0, 1, ..., so the values match the
-    same expression written out with numpy fancy indexing bit for bit.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.float64)
-    if idx.ndim != 2 or idx.shape != w.shape:
-        raise DimensionError(f"indices {idx.shape} and weights {w.shape} must match (n, m)")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise DimensionError(f"gather index out of range for {a.shape[0]} rows")
-    rows, cols = a.shape
-    out = w[:, 0, None] * a.value[idx[:, 0]]
-    for j in range(1, idx.shape[1]):
-        out = out + w[:, j, None] * a.value[idx[:, j]]
-
-    def vjp(g):
-        grad = np.zeros((rows, cols))
-        np.add.at(grad, idx.reshape(-1), (w[:, :, None] * g[:, None, :]).reshape(-1, cols))
-        return (grad,)
-
-    return a.tape._record(out, (a,), vjp, "weighted_gather")
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .selfcheck import gradcheck_suite
 from .train import TrainConfig, train
 
 _DATA_ERRORS = (DataFormatError, EmptyInputError, DegenerateMeshError,
-                DimensionError, FileNotFoundError, IsADirectoryError, ValueError)
+                DimensionError, FileNotFoundError, IsADirectoryError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,6 +37,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _bounded(kind, low, strict: bool = False):
+    """argparse type: a ``kind`` value >= low, or > low when ``strict``."""
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="stdnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"stdnet {__version__}")
@@ -45,40 +57,40 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("fixtures", help="emit a procedural dataset as OBJ + JSON")
     p.add_argument("kind", choices=FIXTURE_KINDS)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("meshbox", help="mesh a bounding-box JSON file into an OBJ")
     p.add_argument("box_json")
     p.add_argument("--out", required=True)
-    p.add_argument("--subdivisions", type=int, default=0)
+    p.add_argument("--subdivisions", type=_bounded(int, 0), default=0)
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("train", help="train on a fixtures directory or builtin kind")
     p.add_argument("dataset", help="fixtures directory or one of: " + ", ".join(FIXTURE_KINDS))
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_bounded(int, 0))
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("deform", help="run a checkpoint on a box JSON or OBJ mesh")
     p.add_argument("checkpoint")
     p.add_argument("source", help="bounding-box JSON or OBJ mesh")
     p.add_argument("--out", required=True)
-    p.add_argument("--subdivisions", type=int, default=0)
+    p.add_argument("--subdivisions", type=_bounded(int, 0), default=0)
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("checkpoint")
     p.add_argument("dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resolution", type=int, default=32)
-    p.add_argument("--threshold", type=float, default=1e-4)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
+    p.add_argument("--resolution", type=_bounded(int, 8), default=32)
+    p.add_argument("--threshold", type=_bounded(float, 0.0, strict=True), default=1e-4)
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("gradcheck", help="compare tape gradients to finite differences")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("subdivide", help="one midpoint-subdivision round of an OBJ")
@@ -147,7 +159,7 @@ def _cmd_meshbox(args) -> int:
 def _cmd_train(args) -> int:
     config = TrainConfig()
     if args.config:
-        with open(args.config, "r", encoding="ascii") as fh:
+        with open(args.config, "r", encoding="ascii", errors="replace") as fh:
             config = TrainConfig.from_json(fh.read())
     if args.seed is not None:
         config.seed = args.seed

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .autodiff import (Tape, Tensor, gather_rows, reduce_sum, scalar_mul,
-                       sparse_matmul, square, weighted_gather)
+from .autodiff import Tape, Tensor, reduce_sum, scalar_mul, sparse_matmul, square
 from .errors import (DegenerateMeshError, DimensionError, EmptyInputError,
                      NumericalError)
 from .mesh import adjacency_csr
@@ -58,10 +57,11 @@ def barycentric_coefficients(u: np.ndarray, w: np.ndarray):
 def sample_surface(vertices, faces, n: int, rng: np.random.Generator) -> SampleBatch:
     """Draw ``n`` area-uniform points from a triangle mesh surface.
 
-    ``vertices`` may be a Tensor, in which case the points are produced by a
-    recorded weighted gather of each sample's three face corners and carry
-    gradients; a plain array yields the same points as a plain array. Draw
-    order per call: face selectors, then u, then w.
+    The points are an n x V CSR matrix, holding sample r's three barycentric
+    weights in row r at its face's corners in corner order, applied to the
+    vertices: by a recorded ``sparse_matmul`` when ``vertices`` is a Tensor,
+    so the points carry gradients, and by ``@`` when it is a plain array,
+    which yields the same points bit for bit. Draw order: faces, u, then w.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
@@ -80,14 +80,10 @@ def sample_surface(vertices, faces, n: int, rng: np.random.Generator) -> SampleB
     face_idx = np.minimum(np.searchsorted(cumulative, picks, side="right"), len(faces) - 1)
     u = rng.random(n)
     w = rng.random(n)
-    c1, c2, c3 = barycentric_coefficients(u, w)
-    tri = faces[face_idx]
-    if isinstance(vertices, Tensor):
-        points = weighted_gather(vertices, tri, np.stack([c1, c2, c3], axis=1))
-    else:
-        points = (c1[:, None] * values[tri[:, 0]]
-                  + c2[:, None] * values[tri[:, 1]]
-                  + c3[:, None] * values[tri[:, 2]])
+    weights = np.stack(barycentric_coefficients(u, w), axis=1).reshape(-1)
+    coeff = sp.csr_array((weights, faces[face_idx].reshape(-1), np.arange(0, 3 * n + 1, 3)),
+                         shape=(n, len(values)))
+    points = sparse_matmul(coeff, vertices) if isinstance(vertices, Tensor) else coeff @ values
     return SampleBatch(points, face_idx, u, w)
 
 
@@ -115,8 +111,13 @@ def nearest_neighbors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     A KD-tree picks the neighbour (at exact ties one of the tied rows, fixed
     for a given input but not always the lowest index); the distance is then
     the sum of squared coordinate differences, so an exact match gives 0.
-    Non-finite points raise NumericalError.
+    Sets that are not matrices of one width raise DimensionError, an empty
+    set EmptyInputError and non-finite points NumericalError.
     """
+    if a.ndim != 2 or a.shape[1:] != b.shape[1:]:
+        raise DimensionError(f"point dimensionality mismatch: {a.shape} vs {b.shape}")
+    if len(a) == 0 or len(b) == 0:
+        raise EmptyInputError("nearest-neighbour search needs two non-empty point sets")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise NumericalError("nearest-neighbour search got non-finite points")
     _, idx = kdtree()(b).query(a)
@@ -126,8 +127,6 @@ def nearest_neighbors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def nearest_sqdist(a: Tensor, b: Tensor):
     """``nearest_neighbors`` as a tape op (n, 1), plus the indices; the pick is a constant."""
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"point dimensionality mismatch: {a.shape} vs {b.shape}")
     sq, idx = nearest_neighbors(a.value, b.value)
 
     def vjp(g):
@@ -159,8 +158,6 @@ def chamfer_loss(pred, target) -> Tensor:
             break
     a = _as_point_tensor(pred, tape)
     b = _as_point_tensor(target, a.tape)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise EmptyInputError("chamfer distance needs two non-empty point sets")
     fwd, _ = nearest_sqdist(a, b)
     rev, _ = nearest_sqdist(b, a)
     return reduce_sum(fwd) + reduce_sum(rev)
@@ -189,12 +186,14 @@ def edge_loss(vertices: Tensor, edges: np.ndarray) -> Tensor:
     """Sum of squared edge lengths over ordered neighbor pairs.
 
     Each undirected edge is counted from both endpoints, hence the factor 2.
+    The edge vectors are the signed E x V incidence matrix (+1 at
+    ``edges[:, 0]``, -1 at ``edges[:, 1]``) applied to the vertices.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if len(edges) == 0:
-        return vertices.tape.leaf(np.zeros((1, 1)))
-    diff = gather_rows(vertices, edges[:, 0]) - gather_rows(vertices, edges[:, 1])
-    return scalar_mul(2.0, reduce_sum(square(diff)))
+    incidence = sp.csr_array((np.tile([1.0, -1.0], len(edges)), edges.reshape(-1),
+                              np.arange(0, 2 * len(edges) + 1, 2)),
+                             shape=(len(edges), vertices.shape[0]))
+    return scalar_mul(2.0, reduce_sum(square(sparse_matmul(incidence, vertices))))
 
 
 @dataclass

@@ -131,12 +131,24 @@ def subdivide_topology(faces: np.ndarray, edges: np.ndarray, n_vertices: int) ->
                     axis=1).reshape(-1, 3)
 
 
+def midpoint_operator(n_vertices: int, edges: np.ndarray) -> sp.csr_array:
+    """The (V + E) x V unpooling map as CSR: V identity rows, then one row per edge.
+
+    Row V + r holds 1/2 at both ends of edge r, giving the midpoint that
+    ``subdivide_topology`` numbers V + r. Rows sum from +0.0, so -0.0 gives +0.0.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    n, e = n_vertices, len(edges)
+    return sp.csr_array((np.repeat([1.0, 0.5], [n, 2 * e]),
+                         np.concatenate([np.arange(n), edges.reshape(-1)]),
+                         np.concatenate([np.arange(n), n + 2 * np.arange(e + 1)])),
+                        shape=(n + e, n))
+
+
 def midpoint_subdivide(mesh: TriangleMesh) -> TriangleMesh:
     """One round of edge-midpoint subdivision: V' = V + E, F' = 4F."""
-    edges = mesh.edges
-    mid = (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]]) * 0.5
-    vertices = np.concatenate([mesh.vertices, mid])
-    return TriangleMesh(vertices, subdivide_topology(mesh.faces, edges, mesh.n_vertices))
+    vertices = midpoint_operator(mesh.n_vertices, mesh.edges) @ mesh.vertices
+    return TriangleMesh(vertices, subdivide_topology(mesh.faces, mesh.edges, mesh.n_vertices))
 
 
 def adjacency_csr(n_vertices: int, edges: np.ndarray) -> sp.csr_array:

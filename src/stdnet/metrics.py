@@ -12,9 +12,9 @@ import numpy as np
 from scipy import ndimage
 
 from .autodiff import Tape
-from .errors import EmptyInputError, NumericalError
+from .errors import DataFormatError, EmptyInputError, NumericalError
 from .fixtures import DatasetPair
-from .losses import chamfer_loss, kdtree, nearest_neighbors, sample_surface
+from .losses import kdtree, nearest_neighbors, sample_surface
 from .mesh import TriangleMesh
 from .network import DeformationNetwork
 
@@ -50,10 +50,21 @@ class MetricReport:
         }
 
 
+def _scores(a: np.ndarray, b: np.ndarray, threshold: float) -> tuple[float, float, float, float]:
+    """(chamfer, f1, precision, recall) from one nearest-neighbour search each way."""
+    fwd, rev = nearest_neighbors(a, b)[0], nearest_neighbors(b, a)[0]
+    precision = 100.0 * (fwd <= threshold).mean()
+    recall = 100.0 * (rev <= threshold).mean()
+    f1 = 0.0
+    if precision > 0 and recall > 0:
+        f1 = 2.0 * precision * recall / (precision + recall)
+    return float(fwd.sum() + rev.sum()), f1, precision, recall
+
+
 def chamfer_metric(points_a: np.ndarray, points_b: np.ndarray) -> float:
-    """The training chamfer evaluated without gradient recording."""
-    tape = Tape()
-    return chamfer_loss(tape.leaf(points_a), tape.leaf(points_b)).item()
+    """The value of the training ``chamfer_loss``, computed without a tape."""
+    a, b = (np.asarray(p, dtype=np.float64) for p in (points_a, points_b))
+    return _scores(a, b, 0.0)[0]  # the threshold only sets the counts, unused here
 
 
 def f1_score(pred_points, gt_points, threshold: float) -> tuple[float, float, float]:
@@ -66,16 +77,9 @@ def f1_score(pred_points, gt_points, threshold: float) -> tuple[float, float, fl
     """
     pred = np.asarray(pred_points, dtype=np.float64).reshape(-1, 3)
     gt = np.asarray(gt_points, dtype=np.float64).reshape(-1, 3)
-    if len(pred) == 0 or len(gt) == 0:
-        raise EmptyInputError("f1_score needs two non-empty point sets")
     if not threshold > 0:
         raise ValueError("threshold must be > 0")
-    precision = 100.0 * (nearest_neighbors(pred, gt)[0] <= threshold).mean()
-    recall = 100.0 * (nearest_neighbors(gt, pred)[0] <= threshold).mean()
-    f1 = 0.0
-    if precision > 0 and recall > 0:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    return f1, precision, recall
+    return _scores(pred, gt, threshold)[1:]
 
 
 def surface_voxels(mesh: TriangleMesh, origin: np.ndarray, cell: float,
@@ -212,9 +216,9 @@ def normalize_to_unit_cube(meshes: list[TriangleMesh]) -> list[TriangleMesh]:
 
 def _thread_count() -> int:
     env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if env and not (env.strip().isdecimal() and int(env) > 0):
+        raise DataFormatError(f"{THREADS_ENV} must be a positive integer, got {env!r}")
+    return int(env) if env else os.cpu_count() or 1
 
 
 def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
@@ -230,6 +234,8 @@ def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
     """
     if not dataset:
         raise EmptyInputError("evaluate needs a non-empty dataset")
+    if not threshold > 0:
+        raise ValueError("threshold must be > 0")
     for pair in dataset:
         if pair.target.n_faces == 0:
             raise EmptyInputError(f"pair {pair.identifier!r} has an empty target")
@@ -245,8 +251,7 @@ def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
                                   F1_SAMPLES, rng).points
         gt_pts = sample_surface(gt_mesh.vertices, gt_mesh.faces,
                                 F1_SAMPLES, rng).points
-        cd = chamfer_metric(pred_pts, gt_pts)
-        f1, precision, recall = f1_score(pred_pts, gt_pts, threshold)
+        cd, f1, precision, recall = _scores(pred_pts, gt_pts, threshold)
         watertight = pred_mesh.is_closed() and gt_mesh.is_closed()
         iou = _grid_iou(pred_mesh, gt_mesh, resolution)
         return MetricReport(pair.identifier, cd, f1, precision, recall,

@@ -14,11 +14,12 @@ import os
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
+import scipy.sparse as sp
 
-from .autodiff import Tape, Tensor, concat_rows, gather_rows, tagcn
+from .autodiff import Tape, Tensor, concat_rows, sparse_matmul, tagcn
 from .errors import DataFormatError, DimensionError, EmptyInputError
 from .mesh import (AdjacencyOperator, NORMALIZATION_MODES, TriangleMesh, join_indices,
-                   midpoint_subdivide, subdivide_topology, unique_edges)
+                   midpoint_operator, subdivide_topology, unique_edges)
 
 CHECKPOINT_MAGIC = b"STDN0001"
 # The JSON values a config field of each annotated type accepts.
@@ -28,8 +29,9 @@ _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 def config_from_dict(cls, data):
     """Build and validate the config dataclass ``cls`` from a parsed JSON object.
 
-    Unknown keys, and values that are not of their field's JSON type (an int
-    field takes integers only, not floats or bools), raise DataFormatError.
+    Unknown keys, values that are not of their field's JSON type (an int
+    field takes integers only, not floats or bools) and values that fail
+    ``validate()`` raise DataFormatError.
     """
     if not isinstance(data, dict):
         raise DataFormatError("config JSON must be an object")
@@ -42,7 +44,10 @@ def config_from_dict(cls, data):
             raise DataFormatError(f"config key {name!r} must be a JSON {types[name]}, "
                                   f"got {value!r}")
     cfg = cls(**data)
-    cfg.validate()
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise DataFormatError(f"bad config: {exc}") from exc
     return cfg
 
 
@@ -190,12 +195,13 @@ class DeformationBlock:
 
 @dataclass
 class StageTopology:
-    """Fixed connectivity of one block's mesh."""
+    """Fixed connectivity of one block's mesh, and the unpooling map to the next."""
 
     n_vertices: int
     faces: np.ndarray
     edges: np.ndarray
     adj: AdjacencyOperator | None
+    unpool: sp.csr_array | None  # midpoint_operator(n_vertices, edges); None on the last stage
 
 
 @dataclass
@@ -270,10 +276,11 @@ class DeformationNetwork:
             if self.config.hops >= 1:
                 adj = AdjacencyOperator.from_edges(
                     n, edges, hops=self.config.hops, mode=self.config.normalization)
-            stages.append(StageTopology(n, faces, edges, adj))
-            if b + 1 < self.config.blocks:
+            unpool = midpoint_operator(n, edges) if b + 1 < self.config.blocks else None
+            stages.append(StageTopology(n, faces, edges, adj, unpool))
+            if unpool is not None:
                 faces = subdivide_topology(faces, edges, n)
-                n = n + len(edges)
+                n = unpool.shape[0]
                 edges = unique_edges(faces, n)
         return ForwardPlan(stages)
 
@@ -295,9 +302,9 @@ class DeformationNetwork:
                     f"got {vertices.shape[0]}")
             pred, feats = block.apply(vertices, features, stage.adj, bound)
             outputs.append(BlockOutput(stage.faces, stage.edges, vertices, pred, feats))
-            if b + 1 < len(self.blocks):
-                vertices = _unpool_rows(pred, stage.edges)
-                features = _unpool_rows(feats, stage.edges)
+            if stage.unpool is not None:
+                vertices = sparse_matmul(stage.unpool, pred)
+                features = sparse_matmul(stage.unpool, feats)
         return outputs
 
     def forward_parts(self, tape: Tape, meshes: list[TriangleMesh],
@@ -328,33 +335,6 @@ class DeformationNetwork:
                 concat_rows([o.v_in for o in outs]),
                 concat_rows([o.v_out for o in outs])))
         return joined
-
-
-def _unpool_rows(values: Tensor, edges: np.ndarray) -> Tensor:
-    mid = 0.5 * (gather_rows(values, edges[:, 0]) + gather_rows(values, edges[:, 1]))
-    return concat_rows([values, mid])
-
-
-def graph_unpool(mesh: TriangleMesh, features):
-    """Insert one vertex per edge midpoint and split each face into four.
-
-    New-vertex features are the mean of the edge endpoint features; existing
-    vertices and features stay in place. ``features`` may be a Tensor (rows
-    tracked on its tape) or a plain array.
-    """
-    if isinstance(features, Tensor):
-        if features.shape[0] != mesh.n_vertices:
-            raise DimensionError(
-                f"features rows {features.shape[0]} != vertex count {mesh.n_vertices}")
-        new_features = _unpool_rows(features, mesh.edges)
-    else:
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape[0] != mesh.n_vertices:
-            raise DimensionError(
-                f"features rows {features.shape[0]} != vertex count {mesh.n_vertices}")
-        mid = (features[mesh.edges[:, 0]] + features[mesh.edges[:, 1]]) * 0.5
-        new_features = np.concatenate([features, mid], axis=0)
-    return midpoint_subdivide(mesh), new_features
 
 
 def network_forward(net: DeformationNetwork, *meshes: TriangleMesh,

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from stdnet import cli
 from stdnet.boxes import mesh_cuboid, save_structure
 from stdnet.cli import main
+from stdnet.errors import DataFormatError
 from stdnet.fixtures import make_fixtures
 from stdnet.mesh import TriangleMesh, format_obj, read_obj, write_obj
 from stdnet.network import DeformationNetwork, network_forward, save_checkpoint
@@ -16,6 +18,14 @@ def unit_cube_json(tmp_path):
     path = tmp_path / "cube.json"
     from stdnet.boxes import ObbNode
     save_structure(ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5)), path)
+    return path
+
+
+@pytest.fixture
+def small_checkpoint(tmp_path):
+    path = tmp_path / "small.stdn"
+    save_checkpoint(path, DeformationNetwork(
+        TrainConfig(channels=6, layers_per_block=2).network_config()))
     return path
 
 
@@ -41,6 +51,33 @@ class TestUsage:
 
     def test_unknown_fixture_kind_rejected(self, tmp_path):
         assert main(["fixtures", "nope", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("fixtures", "--seed", "-1", "must be >= 0"),
+        ("meshbox", "--subdivisions", "-1", "must be >= 0"),
+        ("eval", "--resolution", "4", "must be >= 8"),
+        ("eval", "--threshold", "0", "must be > 0"),
+    ])
+    def test_out_of_range_argument_is_usage_error(self, command, flag, value, message,
+                                                  tmp_path, unit_cube_json, small_checkpoint,
+                                                  capsys):
+        inputs = {"fixtures": ["cube-to-sphere"], "meshbox": [str(unit_cube_json)],
+                  "eval": [str(small_checkpoint), "cube-to-sphere"]}[command]
+        assert main([command, *inputs, flag, value, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_value_error_in_a_handler_is_not_a_data_error(self, tmp_path, monkeypatch):
+        obj = tmp_path / "cube.obj"
+        write_obj(mesh_cuboid(make_fixtures("cube-to-sphere")[0].source), obj)
+
+        def broken(mesh):
+            raise ValueError("a bug, not bad data")
+
+        monkeypatch.setattr(cli, "midpoint_subdivide", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["subdivide", str(obj), "--out", str(tmp_path / "o"), "--quiet"])
 
 
 class TestMeshbox:
@@ -268,6 +305,23 @@ class TestTrainDeformEval:
         assert main(["train", "cube-to-sphere", "--out", str(tmp_path / "run"),
                      "--config", str(cfg), "--quiet"]) == 2
         assert not (tmp_path / "run").exists()
+
+    def test_train_out_of_range_config_is_data_error(self, tmp_path, capsys):
+        cfg = small_train_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "lr": -1}))
+        assert main(["train", "cube-to-sphere", "--out", str(tmp_path / "run"),
+                     "--config", str(cfg), "--quiet"]) == 2
+        assert "lr must be > 0" in capsys.readouterr().err
+        with pytest.raises(DataFormatError):
+            TrainConfig.from_json(cfg.read_text())
+
+    @pytest.mark.parametrize("value", ["two", "0", "-1"])
+    def test_eval_bad_thread_count_is_data_error(self, tmp_path, small_checkpoint,
+                                                 monkeypatch, capsys, value):
+        monkeypatch.setenv("STDNET_THREADS", value)
+        assert main(["eval", str(small_checkpoint), "cube-to-sphere",
+                     "--out", str(tmp_path / "e"), "--quiet"]) == 2
+        assert "STDNET_THREADS" in capsys.readouterr().err
 
     def test_deeply_nested_box_tree_is_data_error(self, tmp_path, capsys):
         fx = tmp_path / "fx"

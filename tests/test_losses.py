@@ -112,11 +112,12 @@ class TestSampleSurface:
         assert np.abs(v.grad - coeff.T @ upstream).max() <= 1e-12 * np.abs(v.grad).max()
 
     def test_tensor_and_array_points_identical(self):
-        mesh = mesh_cuboid(ObbNode(np.zeros(3), np.eye(3), (0.5, 0.3, 0.7)), 1)
-        plain = sample_surface(mesh.vertices, mesh.faces, 200, np.random.default_rng(15))
-        traced = sample_surface(Tape().leaf(mesh.vertices), mesh.faces, 200,
-                                np.random.default_rng(15))
-        assert traced.points.value.tobytes() == plain.points.tobytes()
+        for subdivisions, n in ((1, 200), (4, 1000)):  # 26 and 1,538 vertices
+            mesh = mesh_cuboid(ObbNode(np.zeros(3), np.eye(3), (0.5, 0.3, 0.7)), subdivisions)
+            plain = sample_surface(mesh.vertices, mesh.faces, n, np.random.default_rng(15))
+            traced = sample_surface(Tape().leaf(mesh.vertices), mesh.faces, n,
+                                    np.random.default_rng(15))
+            assert traced.points.value.tobytes() == plain.points.tobytes()
 
     def test_gather_gradient_matches_finite_differences(self):
         mesh = mesh_cuboid(ObbNode(np.zeros(3), np.eye(3), (0.5, 0.3, 0.7)))
@@ -340,6 +341,25 @@ class TestEdgeLoss:
             lambda ts: edge_loss(ts[0], mesh.edges),
             [rng.normal(size=(mesh.n_vertices, 3))], tol=1e-5)
         assert report.passed, str(report)
+
+    def test_incidence_matches_gather_formula(self):
+        # The incidence-matrix loss against the endpoint gathers it replaced.
+        mesh = mesh_cuboid(ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5)), 2)
+        vertices = mesh.vertices + 0.05 * np.random.default_rng(18).normal(
+            size=mesh.vertices.shape)
+        i, j = mesh.edges.T
+        diff = vertices[i] - vertices[j]
+        expected_grad = np.zeros_like(vertices)
+        np.add.at(expected_grad, i, 4.0 * diff)
+        np.add.at(expected_grad, j, -4.0 * diff)
+        t = Tape()
+        v = t.leaf(vertices, requires_grad=True)
+        loss = edge_loss(v, mesh.edges)
+        loss.backward()
+        assert loss.item() == 2.0 * (diff * diff).sum()
+        assert np.abs(v.grad - expected_grad).max() <= 1e-12 * np.abs(expected_grad).max()
+        empty = edge_loss(v, np.zeros((0, 2), dtype=np.int64))
+        assert empty.item() == 0.0
 
 
 class TestTotalLoss:

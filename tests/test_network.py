@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from stdnet import (DeformationNetwork, DimensionError, NetworkConfig, ObbNode,
-                    TagcnLayer, Tape, build_adjacency, graph_unpool,
+                    TagcnLayer, Tape, build_adjacency,
                     load_checkpoint, mesh_cuboid, midpoint_subdivide,
                     network_forward, save_checkpoint, tagcn_forward)
-from stdnet.autodiff import tagcn
+from stdnet.autodiff import sparse_matmul, tagcn
 from stdnet.errors import DataFormatError
-from stdnet.mesh import AdjacencyOperator, TriangleMesh
+from stdnet.mesh import AdjacencyOperator, TriangleMesh, midpoint_operator
 
 
 def unit_cube_mesh(subdivisions=0):
@@ -173,35 +173,57 @@ class TestPermutationEquivariance:
 
 
 class TestGraphUnpool:
+    """The unpooling map midpoint_operator(V, edges): (V + E) x V."""
+
     def test_single_triangle(self):
-        mesh, feats = graph_unpool(triangle_mesh(), np.ones((3, 2)))
-        assert (mesh.n_vertices, mesh.n_faces) == (6, 4)
-        assert feats.shape == (6, 2)
+        tri = triangle_mesh()
+        op = midpoint_operator(tri.n_vertices, tri.edges)
+        assert op.shape == (6, 3)
+        assert op.nnz == 3 + 2 * 3
 
     def test_cube_counts_and_euler(self):
         cube = unit_cube_mesh()
-        mesh, _ = graph_unpool(cube, np.zeros((8, 1)))
+        op = midpoint_operator(cube.n_vertices, cube.edges)
+        mesh = midpoint_subdivide(cube)
+        assert op.shape == (mesh.n_vertices, cube.n_vertices) == (26, 8)
         assert (mesh.n_vertices, mesh.n_faces) == (26, 48)
         assert mesh.euler_characteristic == 2
         assert mesh.is_closed()
 
+    def test_identity_rows(self):
+        cube = unit_cube_mesh()
+        dense = midpoint_operator(cube.n_vertices, cube.edges).toarray()
+        assert np.array_equal(dense[:8], np.eye(8))
+
+    def test_half_rows_in_edge_order(self):
+        cube = unit_cube_mesh()
+        op = midpoint_operator(cube.n_vertices, cube.edges)
+        for r, (i, j) in enumerate(cube.edges):
+            row = op[[8 + r]].toarray()[0]
+            expected = np.zeros(8)
+            expected[[i, j]] = 0.5
+            assert np.array_equal(row, expected)
+
     def test_constant_features_stay_constant(self):
         c = 3.25
-        _, feats = graph_unpool(unit_cube_mesh(), np.full((8, 3), c))
+        cube = unit_cube_mesh()
+        feats = midpoint_operator(cube.n_vertices, cube.edges) @ np.full((8, 3), c)
+        assert feats.shape == (26, 3)
         assert (feats == c).all()
 
     def test_tensor_features_match_array_features(self):
         rng = np.random.default_rng(8)
         cube = unit_cube_mesh()
+        op = midpoint_operator(cube.n_vertices, cube.edges)
         feats = rng.normal(size=(8, 5))
-        _, arr_out = graph_unpool(cube, feats)
-        t = Tape()
-        _, tensor_out = graph_unpool(cube, t.leaf(feats, requires_grad=True))
-        assert np.array_equal(tensor_out.value, arr_out)
+        tensor_out = sparse_matmul(op, Tape().leaf(feats, requires_grad=True))
+        assert np.array_equal(tensor_out.value, op @ feats)
 
     def test_features_row_mismatch_rejected(self):
+        cube = unit_cube_mesh()
         with pytest.raises(DimensionError):
-            graph_unpool(unit_cube_mesh(), np.zeros((5, 3)))
+            sparse_matmul(midpoint_operator(cube.n_vertices, cube.edges),
+                          Tape().leaf(np.zeros((5, 3))))
 
 
 class TestDeformationBlocks:
