@@ -131,9 +131,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def relu(self):
-        return relu(self)
-
     def square(self):
         return square(self)
 
@@ -185,15 +182,6 @@ def scalar_mul(c, a: Tensor) -> Tensor:
     return a.tape._record(c * a.value, (a,), vjp, "scalar_mul")
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.value > 0.0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return a.tape._record(np.where(mask, a.value, 0.0), (a,), vjp, "relu")
-
-
 def square(a: Tensor) -> Tensor:
     av = a.value
 
@@ -232,47 +220,60 @@ def concat_rows(tensors) -> Tensor:
 
 
 def tagcn(x: Tensor, weights: "list[Tensor]", bias: "Tensor | None" = None,
-          a=None, a_t=None) -> Tensor:
-    """Fused sum_k A^k x W_k (+ bias row), k = 0..len(weights)-1, as one tape node.
+          a=None, a_t=None, relu: bool = False, skip: "Tensor | None" = None) -> Tensor:
+    """One TAGCN layer, relu?(sum_k A^k x W_k + bias) + skip, as one tape node.
 
     ``a`` is the (sparse or dense) graph operator and ``a_t`` its transpose,
     which defaults to ``a.T``; neither is needed when there is only W_0. The
-    forward pass builds s_k = A s_(k-1) by repeated products, so no power of
-    A is ever formed. The vjp is gW_k = s_k^T g and, Horner-style,
-    gx = g W_0^T + A^T (g W_1^T + A^T (g W_2^T + ...)).
+    hops s_k = A s_(k-1) are built and dropped one at a time, so no power of A
+    and no hop signal is kept. The vjp holds only x, the weights and the relu
+    mask: with h_0 = g * mask and h_k = A^T h_(k-1), gW_k = x^T h_k and
+    gx = sum_k h_k W_k^T.
     """
     if not weights or (len(weights) > 1 and a is None):
         raise ValueError("tagcn needs W_0, plus a graph operator for each further hop")
-    tape = _same_tape(x, *weights, *([bias] if bias is not None else []))
+    inputs = (x, *weights) + tuple(t for t in (bias, skip) if t is not None)
+    tape = _same_tape(*inputs)
     for w in weights:
         if w.shape != weights[0].shape or x.shape[1] != w.shape[0]:
             raise DimensionError(f"tagcn mismatch: {x.shape} @ {w.shape}")
     if a_t is None and a is not None:
         a_t = a.T
-    w_values = [w.value for w in weights]
-    signals = [x.value]
-    for _ in w_values[1:]:
-        signals.append(a @ signals[-1])
-    out = signals[0] @ w_values[0]
-    for sv, wv in zip(signals[1:], w_values[1:]):
-        out += sv @ wv
+    xv, w_values = x.value, [w.value for w in weights]
+    out, s = xv @ w_values[0], xv
+    for wv in w_values[1:]:
+        s = a @ s
+        out += s @ wv
     if bias is not None:
         if bias.shape != (1, out.shape[1]):
             raise DimensionError(f"bias shape {bias.shape} != (1, {out.shape[1]})")
         out += bias.value
-    inputs = (x, *weights) + ((bias,) if bias is not None else ())
+    mask = out > 0.0 if relu else None
+    if relu:
+        # np.where(mask, out, 0.0) in place: freeing a V x C buffer per layer
+        # lets malloc trim the heap, and the pages fault back in next layer.
+        np.copyto(out, 0.0, where=~mask)
+    if skip is not None:
+        if skip.shape != out.shape:
+            raise DimensionError(f"skip shape {skip.shape} != {out.shape}")
+        out += skip.value
 
     def vjp(g):
-        gx = None
-        if x.requires_grad:
-            gx = g @ w_values[-1].T
-            for wv in reversed(w_values[:-1]):
-                gx = a_t @ gx
-                gx += g @ wv.T
-        grads = [gx]
-        grads += [sv.T @ g if w.requires_grad else None for sv, w in zip(signals, weights)]
-        if bias is not None:
-            grads.append(g.sum(axis=0, keepdims=True) if bias.requires_grad else None)
+        h = g if mask is None else g * mask
+        grads = [None] * len(inputs)
+        if bias is not None and bias.requires_grad:
+            grads[len(weights) + 1] = h.sum(axis=0, keepdims=True)
+        if skip is not None:
+            grads[-1] = g
+        for k, (w, wv) in enumerate(zip(weights, w_values)):
+            if k:
+                h = a_t @ h
+            if w.requires_grad:
+                grads[1 + k] = xv.T @ h
+            if x.requires_grad and k:
+                grads[0] += h @ wv.T
+            elif x.requires_grad:
+                grads[0] = h @ wv.T
         return grads
 
     return tape._record(out, inputs, vjp, "tagcn")

@@ -53,6 +53,8 @@ class ObbNode:
         self.center = np.array(self.center, dtype=np.float64).reshape(3)
         self.axes = np.array(self.axes, dtype=np.float64).reshape(3, 3)
         self.extents = np.array(self.extents, dtype=np.float64).reshape(3)
+        if not all(np.isfinite(arr).all() for arr in (self.center, self.axes, self.extents)):
+            raise ValueError("box center, axes and extents must be finite")
         gram = self.axes.T @ self.axes
         if np.abs(gram - np.eye(3)).max() > ORTHONORMAL_TOL:
             raise ValueError("box axes are not orthonormal")

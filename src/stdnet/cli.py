@@ -26,7 +26,8 @@ from .selfcheck import gradcheck_suite
 from .train import TrainConfig, train
 
 _DATA_ERRORS = (DataFormatError, EmptyInputError, DegenerateMeshError,
-                DimensionError, FileNotFoundError, IsADirectoryError)
+                DimensionError, FileNotFoundError, FileExistsError,
+                IsADirectoryError, NotADirectoryError)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -133,16 +133,17 @@ class TagcnLayer:
         return {name: tape.leaf(arr, requires_grad=True) for name, arr in self.parameters()}
 
     def apply(self, x: Tensor, adj: AdjacencyOperator | None,
-              bound: dict[str, Tensor]) -> Tensor:
+              bound: dict[str, Tensor], skip: Tensor | None = None) -> Tensor:
+        """The layer's output, plus ``skip`` (a shortcut) when one is given."""
         if x.shape[1] != self.in_channels:
             raise DimensionError(
                 f"{self.name}: expected {self.in_channels} input channels, "
                 f"got feature shape {x.shape}")
         weights = [bound[f"{self.name}.W{k}"] for k in range(self.hops + 1)]
         bias = bound[f"{self.name}.bias"] if self.bias is not None else None
-        operators = () if adj is None else (adj.csr, adj.csr_t)
-        out = tagcn(x, weights, bias, *operators)
-        return out.relu() if self.activation == "relu" else out
+        operators = (None, None) if adj is None else (adj.csr, adj.csr_t)
+        return tagcn(x, weights, bias, *operators,
+                     relu=self.activation == "relu", skip=skip)
 
 
 def tagcn_forward(layer: TagcnLayer, adj: AdjacencyOperator | None, x: Tensor) -> Tensor:
@@ -185,12 +186,11 @@ class DeformationBlock:
               bound: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
         acts = [features]
         for i, layer in enumerate(self.layers, start=1):
-            out = layer.apply(acts[-1], adj, bound)
+            skip = None
             if i > self.residual_every and (i - 1) % self.residual_every == 0:
-                out = out + acts[i - self.residual_every]
-            acts.append(out)
-        displacement = self.coord.apply(acts[-1], adj, bound)
-        return vertices + displacement, acts[-1]
+                skip = acts[i - self.residual_every]
+            acts.append(layer.apply(acts[-1], adj, bound, skip))
+        return self.coord.apply(acts[-1], adj, bound, vertices), acts[-1]
 
 
 @dataclass
@@ -375,7 +375,7 @@ def load_checkpoint(path) -> DeformationNetwork:
     parameters the header lists. A header length past the end of the file is
     rejected, and so is a payload of any size but the one the header's config
     needs (truncated, trailing bytes, or an architecture too large to hold),
-    before the network is built.
+    before the network is built. So is a NaN or infinite parameter.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -404,6 +404,8 @@ def load_checkpoint(path) -> DeformationNetwork:
         for name, shape in entries:
             if params[name].shape != shape:
                 raise DataFormatError(f"checkpoint shape mismatch for {name}")
-            raw = fh.read(params[name].nbytes)
-            params[name][...] = np.frombuffer(raw, dtype="<f8").reshape(shape)
+            raw = np.frombuffer(fh.read(params[name].nbytes), dtype="<f8")
+            if not np.isfinite(raw).all():
+                raise DataFormatError(f"checkpoint parameter {name} holds NaN or infinite values")
+            params[name][...] = raw.reshape(shape)
     return net

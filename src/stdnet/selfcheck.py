@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import GradCheckReport, gradcheck
+from .autodiff import GradCheckReport, gradcheck, tagcn
 from .boxes import ObbNode, mesh_cuboid
 from .losses import chamfer_loss, edge_loss, laplacian_loss, sample_surface, total_loss
 from .mesh import build_adjacency
@@ -38,10 +38,6 @@ def gradcheck_suite(seed: int = 0, h: float = 1e-5,
     checks.append(("matmul_sum", gradcheck(
         lambda ts: (ts[0] @ ts[1]).sum(), [a, b], h=h, tol=tol)))
 
-    r = rng.normal(size=(4, 3))
-    checks.append(("relu_sum_of_squares", gradcheck(
-        lambda ts: ts[0].relu().square().sum(), [r], h=h, tol=tol)))
-
     layer = TagcnLayer(3, 5, hops=2, rng=rng, name="check")
     feats = rng.normal(size=(mesh.n_vertices, 3))
     weights = {name: arr for name, arr in layer.parameters()}
@@ -67,6 +63,14 @@ def gradcheck_suite(seed: int = 0, h: float = 1e-5,
     checks.append(("tagcn_row_layer_features", gradcheck(
         lambda ts: layer.apply(ts[0], row_adj, layer.bind(ts[0].tape)).square().sum(),
         [feats], h=h, tol=tol)))
+
+    # The whole fused layer on the same operator: relu mask and shortcut.
+    fused = {"x": feats, **{f"W{k}": rng.normal(size=(3, 4)) for k in range(3)},
+             "bias": rng.normal(size=(1, 4)), "skip": rng.normal(size=(mesh.n_vertices, 4))}
+    checks.append(("tagcn_relu_skip_row", gradcheck(
+        lambda ts: tagcn(ts[0], ts[1:4], ts[4], row_adj.csr, row_adj.csr_t,
+                         relu=True, skip=ts[5]).square().sum(),
+        fused, h=h, tol=tol)))
 
     pa = rng.normal(size=(5, 3))
     pb = rng.normal(size=(5, 3))

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from stdnet import DimensionError, Tape, gradcheck
-from stdnet.autodiff import concat_rows, relu, sparse_matmul
+from stdnet.autodiff import concat_rows, sparse_matmul, tagcn
 
 
 def selection(rows, n_cols):
@@ -36,14 +36,6 @@ class TestForward:
         assert np.array_equal(out.value, x.value)
         out.sum().backward()
         assert np.array_equal(x.grad, np.ones((2, 3)))
-
-    def test_relu_values_and_gradient(self):
-        t = Tape()
-        x = t.leaf(np.array([[-1.0, 2.0]]), requires_grad=True)
-        y = relu(x)
-        assert np.array_equal(y.value, [[0.0, 2.0]])
-        y.sum().backward()
-        assert np.array_equal(x.grad, [[0.0, 1.0]])
 
     def test_shape_mismatch_reports_both_shapes(self):
         t = Tape()
@@ -177,7 +169,7 @@ class TestProperties:
             t = Tape()
             x = t.leaf(rng.normal(size=(5, 3)), requires_grad=True)
             w = t.leaf(rng.normal(size=(3, 3)), requires_grad=True)
-            ((x @ w).relu().square().sum()).backward()
+            tagcn(x, [w], relu=True).square().sum().backward()
             return x.grad.tobytes(), w.grad.tobytes()
 
         assert run() == run()

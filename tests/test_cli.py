@@ -68,6 +68,14 @@ class TestUsage:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_under_an_existing_file_is_data_error(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("not a directory\n")
+        assert main(["fixtures", "cube-to-sphere", "--out", str(tmp_path / out),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stdnet: error:") and err.count("\n") == 1
+
     def test_value_error_in_a_handler_is_not_a_data_error(self, tmp_path, monkeypatch):
         obj = tmp_path / "cube.obj"
         write_obj(mesh_cuboid(make_fixtures("cube-to-sphere")[0].source), obj)
@@ -97,6 +105,23 @@ class TestMeshbox:
         bad = tmp_path / "bad.json"
         bad.write_text("{")
         assert main(["meshbox", str(bad), "--out", str(tmp_path), "--quiet"]) == 2
+
+
+    @pytest.mark.parametrize("field, index, value", [
+        ("center", 0, float("nan")), ("axes", 4, float("nan")),
+        ("extents", 2, float("inf"))])
+    def test_non_finite_box_is_data_error(self, tmp_path, small_checkpoint, capsys,
+                                          field, index, value):
+        box = {"center": [0.0, 0.0, 0.0], "axes": [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0],
+               "extents": [0.5, 0.5, 0.5]}
+        box[field][index] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(box))
+        assert main(["meshbox", str(path), "--out", str(tmp_path / "m"), "--quiet"]) == 2
+        assert main(["deform", str(small_checkpoint), str(path),
+                     "--out", str(tmp_path / "d"), "--quiet"]) == 2
+        assert capsys.readouterr().err.count("must be finite") == 2
+        assert not (tmp_path / "m").exists() and not (tmp_path / "d").exists()
 
 
 class TestSubdivide:
@@ -254,6 +279,18 @@ class TestTrainDeformEval:
                                   np.concatenate(faces))
             assert (out / f"chair.block{b}.obj").read_text() == format_obj(joined)
         assert not np.array_equal(per_part[0][-1].vertices[:8], parts[0].vertices)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_deform_non_finite_checkpoint_is_data_error(self, tmp_path, unit_cube_json,
+                                                        capsys, value):
+        net = DeformationNetwork(TrainConfig(channels=6, layers_per_block=2).network_config())
+        net.blocks[0].coord.weights[0][0, 0] = value
+        checkpoint = tmp_path / "net.stdn"
+        save_checkpoint(checkpoint, net)
+        assert main(["deform", str(checkpoint), str(unit_cube_json),
+                     "--out", str(tmp_path / "d"), "--quiet"]) == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_deform_oversized_header_length_is_data_error(self, tmp_path, unit_cube_json):
         checkpoint = tmp_path / "net.stdn"

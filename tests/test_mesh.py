@@ -272,6 +272,16 @@ class TestObbNode:
         with pytest.raises(ValueError):
             ObbNode(np.zeros(3), np.eye(3), (1.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("center", (np.nan, 0.0, 0.0)),
+        ("axes", np.where(np.eye(3) == 1.0, np.nan, 0.0)),
+        ("extents", (1.0, np.inf, 1.0))])
+    def test_rejects_non_finite(self, field, value):
+        args = {"center": np.zeros(3), "axes": np.eye(3), "extents": np.ones(3)}
+        args[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            ObbNode(**args)
+
     def test_leaves_traversal(self):
         a, b = unit_cube(), unit_cube()
         root = ObbNode(np.zeros(3), np.eye(3), np.ones(3), children=[a, b])

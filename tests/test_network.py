@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,34 +102,66 @@ class TestFusedTagcn:
         cube = unit_cube_mesh()
         return TriangleMesh(np.vstack([cube.vertices, [[2.0, 2.0, 2.0]]]), cube.faces)
 
-    @pytest.mark.parametrize("mode", ["sym", "row", "none"])
-    @pytest.mark.parametrize("hops", [1, 2, 3])
-    def test_matches_dense_reference(self, mode, hops):
+    @staticmethod
+    def unfused(x, ws, b, adj, relu, skip):
+        """The same layer as separate tape nodes: tagcn, then relu, then the shortcut add."""
+        out = tagcn(x, ws, b, adj.csr, adj.csr_t)
+        if relu:
+            mask = out.value > 0.0
+            out = out.tape._record(np.where(mask, out.value, 0.0), (out,),
+                                   lambda g: (g * mask,), "relu")
+        return out if skip is None else out + skip
+
+    @pytest.mark.parametrize("hops, mode, relu, skip", [
+        pytest.param(hops, mode, relu, skip,
+                     id="-".join([str(hops), mode] + ["relu"] * relu + ["skip"] * skip))
+        for hops in (1, 2, 3) for mode in ("sym", "row", "none")
+        for relu in (False, True) for skip in (False, True)])
+    def test_matches_dense_reference(self, hops, mode, relu, skip):
         mesh = self.cube_with_isolated_vertex()
         adj = build_adjacency(mesh, hops, mode)
         rng = np.random.default_rng(hops)
         x = rng.normal(size=(mesh.n_vertices, 4))
         ws = [rng.normal(size=(4, 5)) for _ in range(hops + 1)]
         b = rng.normal(size=(1, 5))
+        s = rng.normal(size=(mesh.n_vertices, 5)) if skip else np.zeros((mesh.n_vertices, 5))
         powers = [np.eye(mesh.n_vertices)] + [adj.power(k) for k in range(1, hops + 1)]
-        expected = sum(p @ x @ w for p, w in zip(powers, ws)) + b
+        pre = sum(p @ x @ w for p, w in zip(powers, ws)) + b
+        mask = pre > 0.0 if relu else np.ones(pre.shape, dtype=bool)
+        expected = np.where(mask, pre, 0.0) + s
         g = 2.0 * expected  # upstream gradient of sum(out ** 2)
+        h = g * mask  # ... and of the pre-activation
 
-        t = Tape()
-        xt = t.leaf(x, requires_grad=True)
-        wt = [t.leaf(w, requires_grad=True) for w in ws]
-        bt = t.leaf(b, requires_grad=True)
-        out = tagcn(xt, wt, bt, adj.csr, adj.csr_t)
-        out.square().sum().backward()
+        def run(layer):
+            t = Tape()
+            xt = t.leaf(x, requires_grad=True)
+            wt = [t.leaf(w, requires_grad=True) for w in ws]
+            bt = t.leaf(b, requires_grad=True)
+            st = t.leaf(s, requires_grad=True) if skip else None
+            out = layer(xt, wt, bt, st)
+            out.square().sum().backward()
+            return out.value, [xt.grad, *(w.grad for w in wt), bt.grad,
+                               st.grad if skip else g]
 
-        assert close(out.value, expected)
-        assert close(xt.grad, sum(p.T @ g @ w.T for p, w in zip(powers, ws)))
-        for p, w in zip(powers, wt):
-            assert close(w.grad, (p @ x).T @ g)
-        assert close(bt.grad, g.sum(axis=0, keepdims=True))
+        value, grads = run(lambda xt, wt, bt, st: tagcn(
+            xt, wt, bt, adj.csr, adj.csr_t, relu=relu, skip=st))
+        ref_value, ref_grads = run(lambda xt, wt, bt, st: self.unfused(
+            xt, wt, bt, adj, relu, st))
+        assert np.array_equal(value, ref_value)
+        for grad, ref in zip(grads, ref_grads):
+            assert close(grad, ref)
+
+        gx, *gws, gb, gs = grads
+        assert close(value, expected)
+        assert close(gx, sum(p.T @ h @ w.T for p, w in zip(powers, ws)))
+        for p, gw in zip(powers, gws):
+            assert close(gw, (p @ x).T @ h)
+        assert close(gb, h.sum(axis=0, keepdims=True))
+        assert close(gs, g)
         # the isolated vertex only ever sees itself
         row = x[-1] @ (ws[0] + (sum(ws[1:]) if mode != "none" else 0.0)) + b[0]
-        assert close(out.value[-1], row)
+        row = (np.maximum(row, 0.0) if relu else row) + s[-1]
+        assert close(value[-1], row)
 
     def test_row_mode_needs_the_transpose(self):
         # in row mode A != A^T, so a vjp that used A would be caught above
@@ -143,7 +177,24 @@ class TestFusedTagcn:
         nodes = [n for n in (t.node(i) for i in range(len(t))) if n is not None]
         assert outputs[-1].n_vertices == 386
         assert sum(n.op == "tagcn" for n in nodes) == cfg.blocks * (cfg.layers_per_block + 1)
+        # relu and the shortcuts are inside the layer nodes
+        assert not [n for n in nodes if n.op in ("relu", "add")]
         assert max(n.shape[1] for n in nodes) == cfg.channels
+
+    def test_forward_holds_one_activation_per_layer(self):
+        # 98/386/1538 vertices at 192 channels: the 45 layer outputs and their
+        # relu masks take about 52 MB; keeping hop signals or separate relu and
+        # shortcut nodes would take about four times that
+        net = DeformationNetwork(NetworkConfig())
+        mesh = unit_cube_mesh(2)
+        tracemalloc.start()
+        try:
+            outputs = net.forward(Tape(), mesh)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert outputs[-1].n_vertices == 1538
+        assert held < 80e6
 
     def test_hops_zero_needs_no_operator(self):
         x = np.random.default_rng(9).normal(size=(4, 3))
