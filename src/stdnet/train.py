@@ -20,15 +20,6 @@ CURVE_HEADER = "iteration,l_cd,l_lap,l_edge,L_all,val_cd"
 _VAL_STREAM = 2  # train draws use seed stream 1, validation stream 2
 
 
-def _adam_update(p, g, m, v, wd, b1, b2, eps_c, bc2, s1):
-    gi = g + wd * p
-    m *= b1
-    m += (1.0 - b1) * gi
-    v *= b2
-    v += (1.0 - b2) * (gi * gi)
-    p -= (m / (np.sqrt(v / bc2) + eps_c)) * s1
-
-
 @dataclass
 class TrainConfig:
     """Training hyperparameters; the JSON form uses exactly these field names."""
@@ -90,6 +81,8 @@ class Adam:
 
     A parameter missing from the gradients of a step is updated as if its
     gradient were zero: weight decay still applies and the moments decay.
+    ``m`` and ``v`` are views into two flat buffers, and each step updates
+    the parameters in place through one preallocated scratch buffer.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 3e-5,
@@ -99,8 +92,10 @@ class Adam:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {name: np.zeros_like(p) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        size = sum(p.size for p in params.values())
+        self.m = _views(np.zeros(size), params)
+        self.v = _views(np.zeros(size), params)
+        self._scratch = np.empty((2, max((p.size for p in params.values()), default=0)))
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         for name, p in self.params.items():
@@ -112,14 +107,38 @@ class Adam:
             if not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
-        bc2 = 1.0 - self.beta2 ** self.t
-        s1 = self.lr / (1.0 - self.beta1 ** self.t)
+        b1, b2, wd = self.beta1, self.beta2, self.weight_decay
+        bc2 = 1.0 - b2 ** self.t
+        s1 = self.lr / (1.0 - b1 ** self.t)
         for name, p in self.params.items():
             g = grads.get(name)
-            g = np.zeros(p.size) if g is None else g.reshape(-1)
-            _adam_update(p.reshape(-1), g, self.m[name].reshape(-1),
-                         self.v[name].reshape(-1), self.weight_decay,
-                         self.beta1, self.beta2, self.eps, bc2, s1)
+            m, v = self.m[name], self.v[name]
+            gi, tmp = (row[:p.size].reshape(p.shape) for row in self._scratch)
+            # gi = g + wd*p; m *= b1; m += (1-b1)*gi; v *= b2; v += (1-b2)*(gi*gi);
+            # p -= (m / (sqrt(v/bc2) + eps)) * s1, with the same operands in
+            # the same order and each temporary written into the scratch, so
+            # every element rounds as with one fresh array per operation.
+            np.multiply(wd, p, out=gi)
+            np.add(0.0 if g is None else g, gi, out=gi)
+            m *= b1
+            m += np.multiply(1.0 - b1, gi, out=tmp)
+            v *= b2
+            v += np.multiply(1.0 - b2, np.multiply(gi, gi, out=tmp), out=tmp)
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            np.add(tmp, self.eps, out=tmp)
+            np.divide(m, tmp, out=tmp)
+            np.multiply(tmp, s1, out=tmp)
+            p -= tmp
+
+
+def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Views of ``flat`` shaped as the arrays of ``like``, laid end to end in its order."""
+    out, offset = {}, 0
+    for name, arr in like.items():
+        out[name] = flat[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    return out
 
 
 @dataclass

@@ -354,6 +354,53 @@ class TestDeformationBlocks:
         assert report.passed, str(report)
 
 
+def reference_init(cfg):
+    """The Glorot draw written out: per block, per layer, per hop, from one generator."""
+    rng = np.random.default_rng(cfg.seed)
+    out = {}
+    for b in range(1, cfg.blocks + 1):
+        for l in range(1, cfg.layers_per_block + 1):
+            n_in = cfg.in_channels if b == l == 1 else cfg.channels
+            s = np.sqrt(6.0 / ((cfg.hops + 1) * (n_in + cfg.channels)))
+            for k in range(cfg.hops + 1):
+                out[f"block{b}.layer{l:02d}.W{k}"] = rng.uniform(-s, s, (n_in, cfg.channels))
+            if cfg.use_bias:
+                out[f"block{b}.layer{l:02d}.bias"] = np.zeros((1, cfg.channels))
+        for k in range(cfg.hops + 1):
+            out[f"block{b}.coord.W{k}"] = np.zeros((cfg.channels, 3))
+        if cfg.use_bias:
+            out[f"block{b}.coord.bias"] = np.zeros((1, 3))
+    return out
+
+
+class TestParameterArena:
+    @pytest.mark.parametrize("overrides", [
+        {"seed": 7, "hops": 0, "in_channels": 4},
+        {"seed": 9, "use_bias": False, "channels": 5, "layers_per_block": 2, "blocks": 2}])
+    def test_init_matches_reference_draw(self, overrides):
+        cfg = small_config(**overrides)
+        params = DeformationNetwork(cfg).parameters()
+        expected = reference_init(cfg)
+        assert list(params) == list(expected)
+        for name, arr in params.items():
+            assert arr.shape == expected[name].shape, name
+            assert arr.tobytes() == expected[name].tobytes(), name
+
+    @pytest.mark.parametrize("overrides", [{}, {"hops": 0}, {"use_bias": False}])
+    def test_parameters_are_views_of_one_buffer_in_order(self, overrides):
+        net = DeformationNetwork(small_config(**overrides))
+        arena = net.arena
+        assert arena.ndim == 1 and arena.flags.c_contiguous and arena.dtype == np.float64
+        offset = 0
+        for name, arr in net.parameters().items():
+            assert arr.flags.c_contiguous, name
+            assert arr.ctypes.data == arena.ctypes.data + 8 * offset, name
+            offset += arr.size
+        assert offset == arena.size
+        arena[-1] = 123.0
+        assert list(net.parameters().values())[-1].reshape(-1)[-1] == 123.0
+
+
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         cfg = small_config(seed=11)
@@ -401,11 +448,33 @@ class TestCheckpoint:
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
 
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        net = DeformationNetwork(small_config(seed=4))
+        path = tmp_path / "model.stdn"
+        save_checkpoint(path, net)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = load_checkpoint(path)
+        for name, arr in net.parameters().items():
+            assert loaded.parameters()[name].tobytes() == arr.tobytes()
+
+    def test_non_finite_middle_parameter_is_named(self, tmp_path):
+        net = DeformationNetwork(small_config())
+        net.parameters()["block2.layer01.W1"][1, 2] = np.nan
+        path = tmp_path / "model.stdn"
+        save_checkpoint(path, net)
+        with pytest.raises(DataFormatError, match=r"block2\.layer01\.W1"):
+            load_checkpoint(path)
+
     def test_state_round_trip(self):
         net = DeformationNetwork(small_config(seed=5))
         state = net.state()
         for p in net.parameters().values():
             p[...] = 0.0
+        assert any(a.any() for a in state.values())  # a copy, not the live parameters
         net.load_state(state)
         for name, p in net.parameters().items():
             assert np.array_equal(p, state[name])

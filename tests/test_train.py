@@ -81,6 +81,61 @@ class TestAdam:
         opt.step({"w": np.zeros((1, 1))})
         assert p["w"][0, 0] < 10.0
 
+    def test_non_finite_gradient_changes_nothing(self):
+        rng = np.random.default_rng(5)
+        p = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4)),
+             "last": rng.normal(size=(4, 2))}
+        opt = Adam(p, lr=0.1, weight_decay=1e-2)
+        grads = {name: rng.normal(size=a.shape) for name, a in p.items()}
+        opt.step(grads)
+
+        def snapshot():
+            return ([a.tobytes() for a in p.values()], [a.tobytes() for a in opt.m.values()],
+                    [a.tobytes() for a in opt.v.values()], opt.t)
+
+        before = snapshot()
+        grads["last"][2, 1] = np.nan
+        with pytest.raises(NumericalError, match="last"):
+            opt.step(grads)
+        assert snapshot() == before
+
+    def test_bit_identical_to_per_array_reference(self):
+        shapes = {"w0": (4, 6), "b0": (1, 6), "w1": (6, 3), "b1": (1, 3), "s": (1, 1)}
+        rng = np.random.default_rng(11)
+        p = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        ref_p = {name: a.copy() for name, a in p.items()}
+        ref_m = {name: np.zeros(a.size) for name, a in p.items()}
+        ref_v = {name: np.zeros(a.size) for name, a in p.items()}
+        lr, b1, b2, eps, wd = 1e-2, 0.9, 0.999, 1e-8, 5e-3
+        opt = Adam(p, lr=lr, beta1=b1, beta2=b2, eps=eps, weight_decay=wd)
+        for t in range(1, 21):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 2)
+                     for name, shape in shapes.items()}
+            if t % 3 == 0:
+                del grads["b0"]
+            if t % 4 == 0:
+                del grads["w1"]
+            opt.step(grads)
+            bc2, s1 = 1.0 - b2 ** t, lr / (1.0 - b1 ** t)
+            for name, a in ref_p.items():
+                g = grads[name].reshape(-1) if name in grads else np.zeros(a.size)
+                reference_adam_update(a.reshape(-1), g, ref_m[name], ref_v[name],
+                                      wd, b1, b2, eps, bc2, s1)
+            for name in shapes:
+                assert p[name].tobytes() == ref_p[name].tobytes(), (t, name)
+                assert opt.m[name].tobytes() == ref_m[name].tobytes(), (t, name)
+                assert opt.v[name].tobytes() == ref_v[name].tobytes(), (t, name)
+
+
+def reference_adam_update(p, g, m, v, wd, b1, b2, eps, bc2, s1):
+    """One Adam update of flat arrays, one temporary per operation: the reference."""
+    gi = g + wd * p
+    m *= b1
+    m += (1.0 - b1) * gi
+    v *= b2
+    v += (1.0 - b2) * (gi * gi)
+    p -= (m / (np.sqrt(v / bc2) + eps)) * s1
+
 
 class TestTrainConfig:
     def test_json_round_trip_exact_keys(self):
