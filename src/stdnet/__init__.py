@@ -22,7 +22,7 @@ from .mesh import (AdjacencyOperator, TriangleMesh, build_adjacency,
 from .metrics import MetricReport, evaluate, f1_score, voxel_iou, write_metrics
 from .network import (BlockOutput, DeformationBlock, DeformationNetwork,
                       NetworkConfig, TagcnLayer, load_checkpoint,
-                      network_forward, save_checkpoint, tagcn_forward)
+                      network_forward, save_checkpoint)
 from .selfcheck import gradcheck_suite
 from .train import Adam, TrainConfig, TrainResult, train
 
@@ -40,6 +40,6 @@ __all__ = [
     "make_fixtures", "mesh_cuboid", "midpoint_subdivide",
     "network_forward", "read_obj", "sample_surface", "save_checkpoint",
     "save_structure", "structure_from_dict", "structure_to_dict",
-    "tagcn_forward", "total_loss", "train", "voxel_iou", "write_metrics",
+    "total_loss", "train", "voxel_iou", "write_metrics",
     "write_obj",
 ]

@@ -47,9 +47,11 @@ class Tape:
         return self._nodes[node_id]()
 
     def leaf(self, value, requires_grad: bool = False) -> "Tensor":
-        return self._record(_as_matrix(value), (), None, "leaf", requires_grad)
+        return self.record(_as_matrix(value), (), None, "leaf", requires_grad)
 
-    def _record(self, value, inputs, vjp, op, requires_grad=None) -> "Tensor":
+    def record(self, value, inputs, vjp, op, requires_grad=None) -> "Tensor":
+        """Append the node ``value = op(*inputs)``; ``vjp(g)`` returns one gradient
+        (or None) per input, and ``requires_grad`` defaults to any input's."""
         if requires_grad is None:
             requires_grad = any(t.requires_grad for t in inputs)
         node = Tensor(self, len(self._nodes), value, requires_grad, inputs, vjp, op)
@@ -128,9 +130,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def square(self):
         return square(self)
 
@@ -149,19 +148,6 @@ def _same_tape(*tensors) -> Tape:
     return tape
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    tape = _same_tape(a, b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul mismatch: {a.shape} @ {b.shape}")
-    av, bv = a.value, b.value
-
-    def vjp(g):
-        return (g @ bv.T if a.requires_grad else None,
-                av.T @ g if b.requires_grad else None)
-
-    return tape._record(av @ bv, (a, b), vjp, "matmul")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     tape = _same_tape(a, b)
     if a.shape != b.shape:
@@ -170,7 +156,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return (g, g)
 
-    return tape._record(a.value + b.value, (a, b), vjp, "add")
+    return tape.record(a.value + b.value, (a, b), vjp, "add")
 
 
 def scalar_mul(c, a: Tensor) -> Tensor:
@@ -179,7 +165,7 @@ def scalar_mul(c, a: Tensor) -> Tensor:
     def vjp(g):
         return (c * g,)
 
-    return a.tape._record(c * a.value, (a,), vjp, "scalar_mul")
+    return a.tape.record(c * a.value, (a,), vjp, "scalar_mul")
 
 
 def square(a: Tensor) -> Tensor:
@@ -188,7 +174,7 @@ def square(a: Tensor) -> Tensor:
     def vjp(g):
         return (2.0 * av * g,)
 
-    return a.tape._record(av * av, (a,), vjp, "square")
+    return a.tape.record(av * av, (a,), vjp, "square")
 
 
 def reduce_sum(a: Tensor) -> Tensor:
@@ -197,7 +183,7 @@ def reduce_sum(a: Tensor) -> Tensor:
     def vjp(g):
         return (np.full(shape, g[0, 0]),)
 
-    return a.tape._record(a.value.sum().reshape(1, 1), (a,), vjp, "reduce_sum")
+    return a.tape.record(a.value.sum().reshape(1, 1), (a,), vjp, "reduce_sum")
 
 
 def concat_rows(tensors) -> Tensor:
@@ -216,7 +202,7 @@ def concat_rows(tensors) -> Tensor:
         return tuple(np.split(g, splits, axis=0))
 
     value = np.concatenate([t.value for t in tensors], axis=0)
-    return tape._record(value, tuple(tensors), vjp, "concat_rows")
+    return tape.record(value, tuple(tensors), vjp, "concat_rows")
 
 
 def tagcn(x: Tensor, weights: "list[Tensor]", bias: "Tensor | None" = None,
@@ -276,7 +262,7 @@ def tagcn(x: Tensor, weights: "list[Tensor]", bias: "Tensor | None" = None,
                 grads[0] = h @ wv.T
         return grads
 
-    return tape._record(out, inputs, vjp, "tagcn")
+    return tape.record(out, inputs, vjp, "tagcn")
 
 
 def sparse_matmul(m, x: Tensor) -> Tensor:
@@ -288,7 +274,7 @@ def sparse_matmul(m, x: Tensor) -> Tensor:
     def vjp(g):
         return (m_t @ g,)
 
-    return x.tape._record(np.asarray(m @ x.value), (x,), vjp, "sparse_matmul")
+    return x.tape.record(np.asarray(m @ x.value), (x,), vjp, "sparse_matmul")
 
 
 @dataclass

@@ -55,13 +55,17 @@ class ObbNode:
         self.extents = np.array(self.extents, dtype=np.float64).reshape(3)
         if not all(np.isfinite(arr).all() for arr in (self.center, self.axes, self.extents)):
             raise ValueError("box center, axes and extents must be finite")
-        gram = self.axes.T @ self.axes
-        if np.abs(gram - np.eye(3)).max() > ORTHONORMAL_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # huge values: checked below
+            gram = self.axes.T @ self.axes
+            corners = self.corners()
+        if not np.abs(gram - np.eye(3)).max() <= ORTHONORMAL_TOL:
             raise ValueError("box axes are not orthonormal")
         if np.linalg.det(self.axes) < 0.0:
             raise ValueError("box axes are a reflection, not a rotation")
         if (self.extents <= 0.0).any():
             raise ValueError(f"box extents must be positive, got {self.extents}")
+        if not np.isfinite(corners).all():
+            raise ValueError("box corners overflow the float64 range")
         for arr in (self.center, self.axes, self.extents):
             arr.setflags(write=False)
 
@@ -144,7 +148,7 @@ def structure_from_dict(data) -> ObbNode:
         axes = np.asarray(data["axes"], dtype=np.float64).reshape(3, 3)
         extents = np.asarray(data["extents"], dtype=np.float64).reshape(3)
         children = [structure_from_dict(c) for c in data.get("children", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"bad structure node: {exc}") from exc
     try:
         return ObbNode(center, axes, extents, children)

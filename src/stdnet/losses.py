@@ -34,14 +34,6 @@ class SampleBatch:
     u: np.ndarray
     w: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.face_indices)
-
-    @property
-    def points_values(self) -> np.ndarray:
-        return self.points.value if isinstance(self.points, Tensor) else self.points
-
 
 def triangle_areas(vertices: np.ndarray, faces: np.ndarray) -> np.ndarray:
     a = vertices[faces[:, 0]]
@@ -138,7 +130,7 @@ def nearest_sqdist(a: Tensor, b: Tensor):
             np.add.at(gb, idx, -scaled)
         return (ga, gb)
 
-    return a.tape._record(sq.reshape(-1, 1), (a, b), vjp, "nearest_sqdist"), idx
+    return a.tape.record(sq.reshape(-1, 1), (a, b), vjp, "nearest_sqdist"), idx
 
 
 def chamfer_loss(pred, target) -> Tensor:
@@ -226,9 +218,8 @@ class LossReport:
 
 def total_loss(blocks: list[BlockOutput], target: SampleBatch, n_samples: int,
                rng: np.random.Generator, lambda_lap: float = 0.3,
-               lambda_edge: float = 0.1,
-               supervise_blocks=None) -> tuple[Tensor, LossReport]:
-    """Hybrid loss over every (supervised) block output, summed per term.
+               lambda_edge: float = 0.1) -> tuple[Tensor, LossReport]:
+    """Hybrid loss over every block output, summed per term.
 
     Each block contributes a chamfer term between ``n_samples`` fresh surface
     samples of its prediction and the target batch, a Laplacian term between
@@ -237,13 +228,8 @@ def total_loss(blocks: list[BlockOutput], target: SampleBatch, n_samples: int,
     """
     if not blocks:
         raise EmptyInputError("total_loss needs at least one block output")
-    supervised = range(len(blocks)) if supervise_blocks is None else supervise_blocks
-    supervised = sorted(set(supervised))
-    if not supervised:
-        raise ValueError("at least one block must be supervised")
     cd_terms, lap_terms, edge_terms, per_block = [], [], [], []
-    for b in supervised:
-        block = blocks[b]
+    for b, block in enumerate(blocks):
         batch = sample_surface(block.v_out, block.faces, n_samples, rng)
         cd = chamfer_loss(batch, target)
         lap = laplacian_loss(block.v_in, block.v_out, block.edges)

@@ -173,15 +173,14 @@ class AdjacencyOperator:
     ``csr`` holds A-bar as one scipy CSR matrix built straight from the edge
     list, and ``csr_t`` its transpose, which differs from it only in "row"
     mode. Layers get A-bar^k X as k sparse products, so no V x V array is
-    ever formed. ``matrix`` and ``power(k)`` return dense arrays built on
-    demand, for tests and inspection; no forward or backward pass uses them.
+    ever formed. ``power(k)`` returns a dense power built on demand, for
+    inspection; no forward or backward pass uses it.
     """
 
     def __init__(self, matrix, hops: int, mode: str):
         self.csr = sp.csr_array(matrix)
         self.csr_t = self.csr.T.tocsr() if mode == "row" else self.csr
         self.hops = hops
-        self.mode = mode
 
     @classmethod
     def from_edges(cls, n_vertices: int, edges: np.ndarray, hops: int = 2,
@@ -207,10 +206,6 @@ class AdjacencyOperator:
     @property
     def n(self) -> int:
         return self.csr.shape[0]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.csr.toarray()
 
     def power(self, k: int) -> np.ndarray:
         """A-bar to the k-th power as a dense array, 1 <= k <= hops."""
@@ -269,7 +264,7 @@ def parse_obj(text: str) -> TriangleMesh:
         raise DataFormatError(f"vertex {int(np.argmin(finite)) + 1}: non-finite coordinate")
     try:
         return TriangleMesh(vertices, faces)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an index past int64
         raise DataFormatError(str(exc)) from exc
 
 

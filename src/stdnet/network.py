@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -31,8 +32,9 @@ def config_from_dict(cls, data):
     """Build and validate the config dataclass ``cls`` from a parsed JSON object.
 
     Unknown keys, values that are not of their field's JSON type (an int
-    field takes integers only, not floats or bools) and values that fail
-    ``validate()`` raise DataFormatError.
+    field takes integers only, not floats or bools), numbers beyond the
+    float64 range (NaN, infinities) and values that fail ``validate()``
+    raise DataFormatError.
     """
     if not isinstance(data, dict):
         raise DataFormatError("config JSON must be an object")
@@ -44,6 +46,8 @@ def config_from_dict(cls, data):
                 or not isinstance(value, _JSON_TYPES[types[name]])):
             raise DataFormatError(f"config key {name!r} must be a JSON {types[name]}, "
                                   f"got {value!r}")
+        if types[name] == "float" and not abs(value) <= sys.float_info.max:
+            raise DataFormatError(f"config key {name!r} must be a finite number, got {value!r}")
     cfg = cls(**data)
     try:
         cfg.validate()
@@ -95,16 +99,17 @@ class TagcnLayer:
     """One graph-convolution layer: f(sum_{k=0..K} A^k X W_k + bias).
 
     W_k have shape (in_channels, out_channels); the k = 0 term uses X
-    directly. ``zero_init`` starts all weights (and bias) at zero, used for
-    coordinate branches so a fresh network predicts zero displacement.
-    ``alloc(shape)`` returns zeroed storage for each parameter, called in
-    ``parameters()`` order; a network passes views of its arena.
+    directly. ``rng`` draws a Glorot-uniform init of the weights (the bias
+    starts at zero); without one the weights stay zero too, as in coordinate
+    branches, so a fresh network predicts zero displacement. ``alloc(shape)``
+    returns zeroed storage for each parameter, called in ``parameters()``
+    order; a network passes views of its arena.
     """
 
     def __init__(self, in_channels: int, out_channels: int, hops: int = 2,
                  use_bias: bool = True, activation: str = "relu",
                  rng: np.random.Generator | None = None,
-                 zero_init: bool = False, name: str = "layer", alloc=np.zeros):
+                 name: str = "layer", alloc=np.zeros):
         if activation not in ("relu", "identity"):
             raise ValueError(f"unknown activation {activation!r}")
         self.in_channels = in_channels
@@ -114,9 +119,7 @@ class TagcnLayer:
         self.name = name
         self.weights = [alloc((in_channels, out_channels)) for _ in range(hops + 1)]
         self.bias = alloc((1, out_channels)) if use_bias else None
-        if not zero_init:
-            if rng is None:
-                rng = np.random.default_rng(0)
+        if rng is not None:
             # Glorot-style bound with the hop branches counted in the fans:
             # the layer output sums hops+1 projections, so the plain
             # sqrt(6/(in+out)) bound compounds to exploding activations over
@@ -148,11 +151,6 @@ class TagcnLayer:
                      relu=self.activation == "relu", skip=skip)
 
 
-def tagcn_forward(layer: TagcnLayer, adj: AdjacencyOperator | None, x: Tensor) -> Tensor:
-    """Run a single layer, binding its weights onto the tensor's tape."""
-    return layer.apply(x, adj, layer.bind(x.tape))
-
-
 class DeformationBlock:
     """A stack of graph-convolution layers plus a displacement branch.
 
@@ -173,11 +171,10 @@ class DeformationBlock:
             self.layers.append(TagcnLayer(
                 in_channels if l == 0 else cfg.channels, cfg.channels,
                 hops=cfg.hops, use_bias=cfg.use_bias, activation="relu",
-                rng=rng, zero_init=rng is None, name=f"block{index}.layer{l + 1:02d}",
-                alloc=alloc))
+                rng=rng, name=f"block{index}.layer{l + 1:02d}", alloc=alloc))
         self.coord = TagcnLayer(
             cfg.channels, 3, hops=cfg.hops, use_bias=cfg.use_bias,
-            activation="identity", zero_init=True, name=f"block{index}.coord", alloc=alloc)
+            activation="identity", name=f"block{index}.coord", alloc=alloc)
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         out = []
@@ -224,7 +221,6 @@ class BlockOutput:
     edges: np.ndarray
     v_in: Tensor
     v_out: Tensor
-    features: Tensor | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -336,7 +332,7 @@ class DeformationNetwork:
                     f"stage {b}: plan expects {stage.n_vertices} vertices, "
                     f"got {vertices.shape[0]}")
             pred, feats = block.apply(vertices, features, stage.adj, bound)
-            outputs.append(BlockOutput(stage.faces, stage.edges, vertices, pred, feats))
+            outputs.append(BlockOutput(stage.faces, stage.edges, vertices, pred))
             if stage.unpool is not None:
                 vertices = sparse_matmul(stage.unpool, pred)
                 features = sparse_matmul(stage.unpool, feats)

@@ -33,11 +33,6 @@ def gradcheck_suite(seed: int = 0, h: float = 1e-5,
     checks.append(("sum_of_squares", gradcheck(
         lambda ts: ts[0].square().sum(), [x], h=h, tol=1e-9)))
 
-    a = rng.normal(size=(3, 4))
-    b = rng.normal(size=(4, 2))
-    checks.append(("matmul_sum", gradcheck(
-        lambda ts: (ts[0] @ ts[1]).sum(), [a, b], h=h, tol=tol)))
-
     layer = TagcnLayer(3, 5, hops=2, rng=rng, name="check")
     feats = rng.normal(size=(mesh.n_vertices, 3))
     weights = {name: arr for name, arr in layer.parameters()}

@@ -16,7 +16,6 @@ import stdnet as sn
 from stdnet.losses import barycentric_coefficients, sample_surface
 from stdnet.mesh import build_adjacency, format_obj, parse_obj
 from stdnet.metrics import chamfer_metric
-from stdnet.network import tagcn_forward
 from stdnet.selfcheck import gradcheck_suite
 
 CONVERGENCE_BUDGET_S = 600.0
@@ -94,7 +93,7 @@ class TestCriterion2Sampling:
         expected = (c1[:, None] * mesh.vertices[tri[:, 0]]
                     + c2[:, None] * mesh.vertices[tri[:, 1]]
                     + c3[:, None] * mesh.vertices[tri[:, 2]])
-        residual = np.abs(batch.points_values - expected).max()
+        residual = np.abs(batch.points - expected).max()
         assert residual < 1e-12
 
     def test_face_frequency_one_to_three(self):
@@ -111,7 +110,7 @@ class TestCriterion2Sampling:
         batch = sample_surface(verts, faces, 50_000, np.random.default_rng(2))
         centroid = verts.mean(axis=0)
         diameter = np.sqrt(5.0)
-        err = np.linalg.norm(batch.points_values.mean(axis=0) - centroid)
+        err = np.linalg.norm(batch.points.mean(axis=0) - centroid)
         assert err < 0.01 * diameter
         _report(2, "area-uniform sampling: barycentric identity, 1:3 "
                    "face frequency, centroid mean")
@@ -156,8 +155,9 @@ class TestCriterion4Equivariance:
         inv[perm] = np.arange(mesh.n_vertices)
         pmesh = sn.TriangleMesh(mesh.vertices[perm], inv[mesh.faces])
         padj = build_adjacency(pmesh, 2)
-        out = tagcn_forward(layer, adj, sn.Tape().leaf(x)).value
-        pout = tagcn_forward(layer, padj, sn.Tape().leaf(x[perm])).value
+        xt, pxt = sn.Tape().leaf(x), sn.Tape().leaf(x[perm])
+        out = layer.apply(xt, adj, layer.bind(xt.tape)).value
+        pout = layer.apply(pxt, padj, layer.bind(pxt.tape)).value
         assert np.abs(pout - out[perm]).max() <= 1e-12
 
     def test_zero_weight_network_is_identity(self):

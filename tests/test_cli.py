@@ -123,6 +123,21 @@ class TestMeshbox:
         assert capsys.readouterr().err.count("must be finite") == 2
         assert not (tmp_path / "m").exists() and not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("extents", [[1e308, 1.0, 1.0], [1.0, 1.7e308, 1.0]])
+    def test_overflowing_box_is_data_error(self, tmp_path, small_checkpoint, capsys,
+                                           recwarn, extents):
+        # the corners center +- extents leave the float64 range
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"center": [1e308, 1e308, 0.0],
+                                    "axes": [1.0, 0, 0, 0, 1.0, 0, 0, 0, 1.0],
+                                    "extents": extents}))
+        assert main(["meshbox", str(path), "--out", str(tmp_path / "m"), "--quiet"]) == 2
+        assert main(["deform", str(small_checkpoint), str(path),
+                     "--out", str(tmp_path / "d"), "--quiet"]) == 2
+        assert capsys.readouterr().err.count("corners overflow") == 2
+        assert not (tmp_path / "m").exists() and not (tmp_path / "d").exists()
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
 
 class TestSubdivide:
     def test_counts_after_subdivision(self, unit_cube_json, tmp_path):
@@ -341,6 +356,17 @@ class TestTrainDeformEval:
         cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **changes}))
         assert main(["train", "cube-to-sphere", "--out", str(tmp_path / "run"),
                      "--config", str(cfg), "--quiet"]) == 2
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("changes", [{"lambda_lap": float("nan")}, {"lr": float("inf")},
+                                         {"beta1": float("-inf")}])
+    def test_train_non_finite_config_is_data_error(self, tmp_path, capsys, changes):
+        # json.dumps writes the NaN / Infinity literals that Python's json accepts
+        cfg = small_train_config(tmp_path)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), **changes}))
+        assert main(["train", "cube-to-sphere", "--out", str(tmp_path / "run"),
+                     "--config", str(cfg), "--quiet"]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_train_out_of_range_config_is_data_error(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -150,21 +152,24 @@ class TestAdjacency:
     def test_row_mode_row_sums_are_one(self):
         n, edges = self.path_graph()
         adj = AdjacencyOperator.from_edges(n, edges, hops=1, mode="row")
-        assert np.allclose(adj.matrix.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(adj.csr.toarray().sum(axis=1), 1.0, atol=1e-12)
 
     def test_sym_mode_spectral_bound(self):
         mesh = mesh_cuboid(unit_cube(), 1)
         adj = build_adjacency(mesh, hops=1, mode="sym")
-        assert np.allclose(adj.matrix, adj.matrix.T)
-        eigs = np.linalg.eigvalsh(adj.matrix)
+        dense = adj.csr.toarray()
+        assert np.allclose(dense, dense.T)
+        eigs = np.linalg.eigvalsh(dense)
         assert np.abs(eigs).max() <= 1.0 + 1e-9
 
     def test_power_equals_repeated_product(self):
         tri = TriangleMesh([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]])
         adj = build_adjacency(tri, hops=2)
-        assert np.abs(adj.power(2) - adj.matrix @ adj.matrix).max() < 1e-12
+        dense = adj.csr.toarray()
+        assert np.abs(adj.power(2) - dense @ dense).max() < 1e-12
         adj3 = build_adjacency(tri, hops=3)
-        assert np.abs(adj3.power(3) - np.linalg.matrix_power(adj3.matrix, 3)).max() < 1e-12
+        dense3 = adj3.csr.toarray()
+        assert np.abs(adj3.power(3) - np.linalg.matrix_power(dense3, 3)).max() < 1e-12
 
     def test_isolated_vertex_row_is_unit_self_loop(self):
         # triangle 0-1-2 plus isolated vertex 3, hand-computed 4x4 matrix:
@@ -176,18 +181,18 @@ class TestAdjacency:
             expected = np.zeros((4, 4))
             expected[:3, :3] = 1.0 / 3.0
             expected[3, 3] = 1.0
-            assert np.allclose(adj.matrix, expected, atol=1e-12)
+            assert np.allclose(adj.csr.toarray(), expected, atol=1e-12)
 
     def test_none_mode_is_raw_adjacency(self):
         n, edges = self.path_graph()
         adj = AdjacencyOperator.from_edges(n, edges, hops=1, mode="none")
         expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
-        assert np.array_equal(adj.matrix, expected)
+        assert np.array_equal(adj.csr.toarray(), expected)
 
     def test_sparsity_pattern_matches_edges(self):
         mesh = mesh_cuboid(unit_cube())
         adj = build_adjacency(mesh, hops=1)
-        nz = adj.matrix != 0
+        nz = adj.csr.toarray() != 0
         for i in range(mesh.n_vertices):
             for j in range(mesh.n_vertices):
                 has_edge = i == j or any(
@@ -198,7 +203,7 @@ class TestAdjacency:
         mesh = mesh_cuboid(unit_cube(), 1)
         a = build_adjacency(mesh, hops=2)
         b = build_adjacency(mesh, hops=2)
-        assert a.matrix.tobytes() == b.matrix.tobytes()
+        assert a.csr.toarray().tobytes() == b.csr.toarray().tobytes()
         assert a.power(2).tobytes() == b.power(2).tobytes()
 
     def test_empty_mesh_rejected(self):
@@ -281,6 +286,16 @@ class TestObbNode:
         args[field] = value
         with pytest.raises(ValueError, match="finite"):
             ObbNode(**args)
+
+    @pytest.mark.parametrize("center, axes, extents", [
+        ((1e308, 0.0, 0.0), np.eye(3), (1e308, 1.0, 1.0)),
+        (np.zeros(3), [[0.6, -0.8, 0.0], [0.8, 0.6, 0.0], [0.0, 0.0, 1.0]],
+         (1.5e308, 1.5e308, 1.0))])
+    def test_rejects_overflowing_corners_without_warning(self, center, axes, extents):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="corners"):
+                ObbNode(center, axes, extents)
 
     def test_leaves_traversal(self):
         a, b = unit_cube(), unit_cube()
@@ -415,6 +430,10 @@ class TestObjIO:
     def test_rejects_non_finite_coordinates(self, value):
         with pytest.raises(DataFormatError, match="vertex 2"):
             parse_obj(f"v 0 0 0\nv 1 {value} 0\nv 0 1 0\nf 1 2 3\n")
+
+    def test_face_index_past_int64_is_data_error(self):
+        with pytest.raises(DataFormatError):
+            parse_obj(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 {2 ** 64}\n")
 
     def test_never_emits_other_directives(self):
         text = format_obj(mesh_cuboid(unit_cube()))

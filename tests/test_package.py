@@ -20,6 +20,25 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert offenders == []
 
 
+def test_no_module_uses_a_private_attribute_defined_elsewhere():
+    # e.g. a loss recording through ``tape._record`` instead of ``Tape.record``
+    offenders = []
+    for path in sorted(Path(stdnet.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        own = set()  # names this module defines, assigns as attributes or lists in __slots__
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                own.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                own.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                own.add(node.value)
+        offenders += [f"{path.name}: .{node.attr}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                      and not node.attr.endswith("__") and node.attr not in own]
+    assert offenders == []
+
+
 def test_import_does_not_load_scipy_spatial():
     # scipy.spatial costs ~0.2 s of CPU to import; only the nearest-neighbour
     # search (chamfer and F1) needs it.

@@ -1,0 +1,104 @@
+"""Property-based tests of the file parsers and the OBJ round trip.
+
+Each property runs a fixed, derandomized set of examples, so a failure
+reproduces on every run; no example database is written.
+"""
+
+import sys
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stdnet.boxes import mesh_cuboid, structure_from_dict
+from stdnet.errors import DataFormatError, StdnetError
+from stdnet.mesh import TriangleMesh, format_obj, parse_obj
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+# Any JSON number, including NaN, the infinities, the largest finite floats
+# and integers beyond the float64 range.
+NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.sampled_from([1e308, -1e308, sys.float_info.max, -sys.float_info.max, 10 ** 400]),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12)
+ROTATIONS = [
+    [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+    [0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0],
+    [0.6, -0.8, 0.0, 0.8, 0.6, 0.0, 0.0, 0.0, 1.0],
+]
+
+
+def triples(elements):
+    return st.lists(elements, min_size=3, max_size=3)
+
+
+BOX_NODES = st.fixed_dictionaries({
+    "center": triples(NUMBERS | st.floats(-10.0, 10.0)),
+    "axes": st.sampled_from(ROTATIONS) | st.lists(NUMBERS, min_size=9, max_size=9),
+    "extents": triples(NUMBERS | st.floats(1e-3, 10.0)),
+})
+BOX_TREES = st.recursive(
+    BOX_NODES,
+    lambda kids: st.builds(lambda node, children: {**node, "children": children},
+                           BOX_NODES, st.lists(kids, max_size=2)),
+    max_leaves=4)
+
+# OBJ-like text: directives with numeric or junk tokens (face indices up to
+# 2**70, past int64), mixed with arbitrary lines.
+TOKENS = st.one_of(st.floats().map(repr), st.integers(-3, 2 ** 70).map(str),
+                   st.sampled_from(["1/2", "3//4", "-0", "1e999", "nan", "x"]),
+                   st.text(max_size=4))
+OBJ_LINES = st.one_of(
+    st.text(max_size=12),
+    st.builds(lambda d, ts: " ".join([d, *ts]), st.sampled_from(["v", "f", "vn", "#"]),
+              st.lists(TOKENS, max_size=5)),
+    st.builds(lambda ts: " ".join(["f", *ts]),
+              triples(st.integers(-1, 2 ** 70).map(str))),
+)
+
+
+@PROPERTY
+@given(st.lists(OBJ_LINES, max_size=12).map("\n".join))
+def test_parse_obj_raises_only_library_errors(text):
+    try:
+        mesh = parse_obj(text)
+    except StdnetError:
+        return
+    assert np.isfinite(mesh.vertices).all()
+
+
+@PROPERTY
+@given(JSON_VALUES | BOX_TREES)
+def test_structure_from_dict_rejects_or_meshes_finite(data):
+    try:
+        tree = structure_from_dict(data)
+    except DataFormatError:
+        return
+    for leaf in tree.leaves():
+        assert np.isfinite(mesh_cuboid(leaf, 1).vertices).all()
+
+
+@st.composite
+def meshes(draw):
+    n = draw(st.integers(3, 8))
+    vertices = draw(st.lists(triples(st.floats(allow_nan=False, allow_infinity=False)),
+                             min_size=n, max_size=n))
+    faces = draw(st.lists(st.permutations(range(n)).map(lambda p: p[:3]), max_size=6))
+    return TriangleMesh(vertices, np.array(faces, dtype=np.int64).reshape(-1, 3))
+
+
+@PROPERTY
+@given(meshes())
+def test_obj_round_trip_keeps_faces_and_nine_digits(mesh):
+    back = parse_obj(format_obj(mesh))
+    assert np.array_equal(back.faces, mesh.faces)
+    nine_digits = [[float(f"{x:.9g}") for x in row] for row in mesh.vertices]
+    assert np.array_equal(back.vertices, nine_digits)
+    assert np.allclose(back.vertices, mesh.vertices, rtol=5e-9, atol=0.0)

@@ -153,6 +153,14 @@ class TestTrainConfig:
         with pytest.raises(DataFormatError):
             TrainConfig.from_json('{"learning_rate": 0.1}')
 
+    @pytest.mark.parametrize("text", ['{"lambda_lap": NaN}', '{"lr": Infinity}',
+                                      '{"eps": -Infinity}', '{"weight_decay": 1e400}',
+                                      '{"lr": 1' + '0' * 400 + '}'],
+                             ids=["nan", "inf", "-inf", "1e400", "int-10**400"])
+    def test_non_finite_value_rejected(self, text):
+        with pytest.raises(DataFormatError, match="must be a finite number"):
+            TrainConfig.from_json(text)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=0.0).validate()
@@ -273,34 +281,6 @@ class TestTrain:
         net = DeformationNetwork(cfg.network_config())
         result = train(net, [pair], cfg)
         assert np.isfinite(result.best_val_chamfer)
-
-    def test_supervision_switch_changes_block1_gradients(self):
-        from stdnet.autodiff import Tape
-        from stdnet.losses import sample_surface, total_loss
-
-        (pair,) = make_fixtures("cube-to-sphere")
-        cfg = tiny_config(iterations=1, samples=50, seed=2)
-        net = DeformationNetwork(cfg.network_config())
-        rng = np.random.default_rng(0)
-        for name, p in net.parameters().items():
-            p[...] = rng.normal(size=p.shape) * 0.05
-        parts = pair.source_meshes()
-
-        def block1_grads(supervise):
-            tape = Tape()
-            bound = net.bind(tape)
-            blocks = net.forward_parts(tape, parts, bound=bound)
-            target = sample_surface(pair.target.vertices, pair.target.faces, 50,
-                                    np.random.default_rng(5))
-            loss, _ = total_loss(blocks, target, 50, np.random.default_rng(6),
-                                 supervise_blocks=supervise)
-            loss.backward()
-            return {n: t.grad.copy() for n, t in bound.items() if n.startswith("block1.")}
-
-        full = block1_grads(None)
-        last_only = block1_grads([2])
-        diffs = [np.abs(full[n] - last_only[n]).max() for n in full]
-        assert max(diffs) > 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_checkpoint(self, tmp_path):
