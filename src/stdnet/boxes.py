@@ -85,11 +85,6 @@ class ObbNode:
         """The 8 world-space corners, in local x-fastest order."""
         return self.center + (_CUBE_CORNERS * self.extents) @ self.axes.T
 
-    def contains(self, points, tol: float = 1e-9) -> bool:
-        """True when every point lies inside the box inflated by ``tol``."""
-        local = (np.asarray(points, dtype=np.float64).reshape(-1, 3) - self.center) @ self.axes
-        return bool((np.abs(local) <= self.extents + tol).all())
-
 
 def mesh_cuboid(box: ObbNode, subdivisions: int = 0) -> TriangleMesh:
     """Closed 12-triangle surface mesh of a box, optionally midpoint-subdivided."""

@@ -137,8 +137,6 @@ def _cmd_fixtures(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     for pair in pairs:
         box_path = os.path.join(args.out, f"{pair.identifier}.box.json")
-        if isinstance(pair.source, TriangleMesh):
-            raise DataFormatError("fixtures with pre-meshed sources cannot be exported")
         save_structure(pair.source, box_path)
         write_obj(pair.target, os.path.join(args.out, f"{pair.identifier}.target.obj"))
         _say(args, f"wrote {pair.identifier}.box.json / .target.obj")

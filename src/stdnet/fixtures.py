@@ -29,17 +29,15 @@ _ICO_FACES = np.array([
 
 @dataclass
 class DatasetPair:
-    """A deformation source (box tree or pre-meshed surface) and its target."""
+    """A deformation source box tree and its target surface."""
 
     identifier: str
-    source: "ObbNode | TriangleMesh"
+    source: ObbNode
     target: TriangleMesh
     source_subdivisions: int = 0
 
     def source_meshes(self) -> list[TriangleMesh]:
-        """Meshes fed to the network: one per leaf box, or the mesh itself."""
-        if isinstance(self.source, TriangleMesh):
-            return [self.source]
+        """Meshes fed to the network: one per leaf box."""
         return [mesh_cuboid(leaf, self.source_subdivisions)
                 for leaf in self.source.leaves()]
 

@@ -12,7 +12,6 @@ evaluated on every block output and summed across blocks.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,21 +199,6 @@ class LossReport:
     lambda_edge: float
     per_block: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "l_cd": self.l_cd, "l_lap": self.l_lap, "l_edge": self.l_edge,
-            "l_all": self.l_all, "lambda_lap": self.lambda_lap,
-            "lambda_edge": self.lambda_edge, "per_block": self.per_block,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @staticmethod
-    def combine(l_cd: float, l_lap: float, l_edge: float,
-                lambda_lap: float, lambda_edge: float) -> float:
-        return l_cd + (lambda_lap * l_lap + lambda_edge * l_edge)
-
 
 def total_loss(blocks: list[BlockOutput], target: SampleBatch, n_samples: int,
                rng: np.random.Generator, lambda_lap: float = 0.3,
@@ -240,10 +224,10 @@ def total_loss(blocks: list[BlockOutput], target: SampleBatch, n_samples: int,
         per_block.append({"block": b + 1, "l_cd": cd.item(),
                           "l_lap": lap.item(), "l_edge": edge.item()})
     cd_sum, lap_sum, edge_sum = (_sum_terms(t) for t in (cd_terms, lap_terms, edge_terms))
-    combined = cd_sum + (scalar_mul(lambda_lap, lap_sum) + scalar_mul(lambda_edge, edge_sum))
+    l_all = cd_sum + (scalar_mul(lambda_lap, lap_sum) + scalar_mul(lambda_edge, edge_sum))
     report = LossReport(cd_sum.item(), lap_sum.item(), edge_sum.item(),
-                        combined.item(), lambda_lap, lambda_edge, per_block)
-    return combined, report
+                        l_all.item(), lambda_lap, lambda_edge, per_block)
+    return l_all, report
 
 
 def _sum_terms(terms: list[Tensor]) -> Tensor:

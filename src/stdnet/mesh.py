@@ -203,10 +203,6 @@ class AdjacencyOperator:
                 m.data = m.data / deg[rows]
         return cls(m, hops, mode)
 
-    @property
-    def n(self) -> int:
-        return self.csr.shape[0]
-
     def power(self, k: int) -> np.ndarray:
         """A-bar to the k-th power as a dense array, 1 <= k <= hops."""
         if not 1 <= k <= self.hops:

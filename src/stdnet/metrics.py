@@ -6,19 +6,18 @@ import json
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .autodiff import Tape
-from .errors import DataFormatError, EmptyInputError, NumericalError
+from .errors import EmptyInputError, NumericalError
 from .fixtures import DatasetPair
 from .losses import kdtree, nearest_neighbors, sample_surface
 from .mesh import TriangleMesh
 from .network import DeformationNetwork
 
-THREADS_ENV = "STDNET_THREADS"
 F1_SAMPLES = 2500
 # (face, cell) rows per separating-axis chunk: the temporaries stay in cache.
 SAT_CHUNK_ROWS = 4096
@@ -39,15 +38,6 @@ class MetricReport:
     resolution: int
     iou_mode: str = "volume"              # "surface" when a mesh is not watertight
     convention: str = DISTANCE_CONVENTION
-
-    def to_dict(self) -> dict:
-        return {
-            "identifier": self.identifier, "chamfer": self.chamfer,
-            "f1": self.f1, "precision": self.precision, "recall": self.recall,
-            "threshold": self.threshold, "iou": self.iou,
-            "resolution": self.resolution, "iou_mode": self.iou_mode,
-            "convention": self.convention,
-        }
 
 
 def _scores(a: np.ndarray, b: np.ndarray, threshold: float) -> tuple[float, float, float, float]:
@@ -214,13 +204,6 @@ def normalize_to_unit_cube(meshes: list[TriangleMesh]) -> list[TriangleMesh]:
     return [m.replace_vertices((m.vertices - lo) * scale) for m in meshes]
 
 
-def _thread_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env and not (env.strip().isdecimal() and int(env) > 0):
-        raise DataFormatError(f"{THREADS_ENV} must be a positive integer, got {env!r}")
-    return int(env) if env else os.cpu_count() or 1
-
-
 def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
              seed: int = 0, threshold: float = 1e-4,
              resolution: int = 32) -> tuple[list[MetricReport], dict]:
@@ -229,8 +212,8 @@ def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
     Predictions and targets are normalized jointly to the unit cube, and
     F1_SAMPLES points are drawn from each. Point sampling is seeded per pair,
     so repeated calls with the same seed reproduce every number. Pairs are
-    evaluated in parallel (capped by the STDNET_THREADS environment variable)
-    and reported in input order.
+    evaluated in parallel, one thread per CPU the process may run on, and
+    reported in input order.
     """
     if not dataset:
         raise EmptyInputError("evaluate needs a non-empty dataset")
@@ -259,7 +242,9 @@ def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
                             iou_mode="volume" if watertight else "surface")
 
     kdtree()  # import here, not in a worker: an import mutates sys.modules
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         reports = list(pool.map(one, range(len(dataset))))
     aggregate = {
         "pairs": len(reports),
@@ -276,5 +261,5 @@ def write_metrics(path, reports: list[MetricReport], aggregate: dict) -> None:
     """JSON lines: one object per pair, then the aggregate object."""
     with open(path, "w", encoding="ascii") as fh:
         for report in reports:
-            fh.write(json.dumps(report.to_dict()) + "\n")
+            fh.write(json.dumps(asdict(report)) + "\n")
         fh.write(json.dumps({"aggregate": aggregate}) + "\n")

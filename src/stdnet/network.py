@@ -71,15 +71,15 @@ class NetworkConfig:
     def validate(self) -> None:
         if self.hops < 0:
             raise ValueError("hops must be >= 0")
-        if self.channels < 1 or self.layers_per_block < 1 or self.blocks < 1:
-            raise ValueError("channels, layers_per_block and blocks must be >= 1")
+        if min(self.channels, self.layers_per_block, self.blocks, self.in_channels) < 1:
+            raise ValueError("channels, layers_per_block, blocks and in_channels must be >= 1")
         if self.normalization not in NORMALIZATION_MODES:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.residual_every < 1:
             raise ValueError("residual_every must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if 8 * self.parameter_count() > np.iinfo(np.intp).max:
+            raise ValueError(f"{self.parameter_count()} float64 parameters exceed "
+                             "the largest array this platform can address")
 
     def parameter_count(self) -> int:
         """Number of float64 parameters a network of this config holds, by arithmetic."""
@@ -386,7 +386,7 @@ def save_checkpoint(path, net: DeformationNetwork) -> None:
     giving a bit-exact round trip.
     """
     header = {
-        "config": net.config.to_dict(),
+        "config": asdict(net.config),
         "params": [{"name": n, "shape": list(a.shape)} for n, a in net.parameters().items()],
     }
     blob = json.dumps(header).encode("ascii")

@@ -378,13 +378,23 @@ class TestTrainDeformEval:
         with pytest.raises(DataFormatError):
             TrainConfig.from_json(cfg.read_text())
 
-    @pytest.mark.parametrize("value", ["two", "0", "-1"])
-    def test_eval_bad_thread_count_is_data_error(self, tmp_path, small_checkpoint,
-                                                 monkeypatch, capsys, value):
-        monkeypatch.setenv("STDNET_THREADS", value)
-        assert main(["eval", str(small_checkpoint), "cube-to-sphere",
-                     "--out", str(tmp_path / "e"), "--quiet"]) == 2
-        assert "STDNET_THREADS" in capsys.readouterr().err
+    def test_train_unaddressable_config_is_data_error(self, tmp_path, capsys):
+        # 10^12 channels need more bytes than an array can address; the config
+        # check rejects it before the network is allocated.
+        cfg = small_train_config(tmp_path, channels=10**12)
+        count = TrainConfig(channels=10**12, layers_per_block=2).network_config().parameter_count()
+        assert main(["train", "cube-to-sphere", "--out", str(tmp_path / "run"),
+                     "--config", str(cfg), "--quiet"]) == 2
+        assert f"{count} float64 parameters" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_deform_unaddressable_header_config_is_data_error(self, tmp_path, unit_cube_json,
+                                                              small_checkpoint, capsys):
+        rewrite_header_config(small_checkpoint, channels=10**12)
+        assert main(["deform", str(small_checkpoint), str(unit_cube_json),
+                     "--out", str(tmp_path / "d"), "--quiet"]) == 2
+        assert "float64 parameters exceed" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_deeply_nested_box_tree_is_data_error(self, tmp_path, capsys):
         fx = tmp_path / "fx"

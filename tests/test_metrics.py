@@ -1,9 +1,11 @@
 import builtins
 import json
+import os
 import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -325,18 +327,41 @@ class TestEvaluate:
         net = self._zero_net()
         a = evaluate(net, [pair], seed=42)
         b = evaluate(net, [pair], seed=42)
-        assert a[0][0].to_dict() == b[0][0].to_dict()
+        assert asdict(a[0][0]) == asdict(b[0][0])
         c = evaluate(net, [pair], seed=43)
         assert c[0][0].chamfer != a[0][0].chamfer
 
     def test_reports_in_input_order_with_threads(self, monkeypatch):
-        monkeypatch.setenv("STDNET_THREADS", "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cube = ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5))
         pairs = [DatasetPair(f"p{i}", cube, icosphere(1, radius=0.8 + 0.1 * i))
                  for i in range(4)]
         reports, aggregate = evaluate(self._zero_net(), pairs, seed=0)
         assert [r.identifier for r in reports] == ["p0", "p1", "p2", "p3"]
         assert aggregate["pairs"] == 4
+
+    @pytest.mark.parametrize("affinity, cpu_count, workers", [
+        ({0, 1, 2}, 8, 3),      # the affinity mask, not the machine's CPU count
+        (None, 5, 5),           # a platform without sched_getaffinity
+    ])
+    def test_pool_has_one_worker_per_usable_cpu(self, monkeypatch, affinity, cpu_count,
+                                                workers):
+        sizes = []
+        real_pool = metrics.ThreadPoolExecutor
+
+        def pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers)
+
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", pool)
+        cube = ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5))
+        evaluate(self._zero_net(), [DatasetPair("p", cube, icosphere(1))], resolution=8)
+        assert sizes == [workers]
 
     def test_workers_leave_warning_filters_alone(self, monkeypatch):
         # The warnings filters are process-global; a worker thread that
@@ -352,7 +377,7 @@ class TestEvaluate:
 
         for name in ("catch_warnings", "simplefilter", "filterwarnings", "resetwarnings"):
             monkeypatch.setattr(warnings, name, spy(getattr(warnings, name)))
-        monkeypatch.setenv("STDNET_THREADS", "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cube = ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5))
         sphere = icosphere(1, radius=0.8)
         open_sphere = TriangleMesh(sphere.vertices, sphere.faces[:-1])
@@ -379,7 +404,7 @@ class TestEvaluate:
                 loaded_off_main.extend(sorted(set(sys.modules) - before))
 
         monkeypatch.setattr(builtins, "__import__", spy)
-        monkeypatch.setenv("STDNET_THREADS", "2")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         cube = ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5))
         pairs = [DatasetPair(f"p{i}", cube, icosphere(1, radius=0.8 + 0.1 * i))
                  for i in range(2)]

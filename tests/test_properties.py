@@ -1,4 +1,5 @@
-"""Property-based tests of the file parsers and the OBJ round trip.
+"""Property-based tests of the file parsers, the config size rule and the
+OBJ, box-tree and checkpoint round trips.
 
 Each property runs a fixed, derandomized set of examples, so a failure
 reproduces on every run; no example database is written.
@@ -10,9 +11,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stdnet.boxes import mesh_cuboid, structure_from_dict
+from stdnet.boxes import (ObbNode, load_structure, mesh_cuboid, save_structure,
+                          structure_from_dict)
 from stdnet.errors import DataFormatError, StdnetError
-from stdnet.mesh import TriangleMesh, format_obj, parse_obj
+from stdnet.mesh import NORMALIZATION_MODES, TriangleMesh, format_obj, parse_obj
+from stdnet.network import (DeformationNetwork, NetworkConfig, load_checkpoint,
+                            save_checkpoint)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -102,3 +106,77 @@ def test_obj_round_trip_keeps_faces_and_nine_digits(mesh):
     nine_digits = [[float(f"{x:.9g}") for x in row] for row in mesh.vertices]
     assert np.array_equal(back.vertices, nine_digits)
     assert np.allclose(back.vertices, mesh.vertices, rtol=5e-9, atol=0.0)
+
+
+SIZE_FIELDS = ("hops", "channels", "layers_per_block", "blocks", "in_channels")
+
+
+@PROPERTY
+@given(st.dictionaries(st.sampled_from(SIZE_FIELDS), st.integers(-2, 10 ** 30)))
+def test_network_config_sizes_fit_an_array_or_are_rejected(sizes):
+    try:
+        config = NetworkConfig.from_dict(sizes)
+    except DataFormatError:
+        return
+    assert 0 < 8 * config.parameter_count() <= np.iinfo(np.intp).max
+
+
+def rotation(q):
+    """The rotation matrix of the quaternion ``q`` (normalized here)."""
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: np.linalg.norm(q) > 0.1)
+
+
+def valid_boxes(children=st.just([])):
+    return st.builds(lambda center, q, extents, kids: ObbNode(center, rotation(q), extents, kids),
+                     triples(st.floats(-1e6, 1e6)), QUATERNIONS,
+                     triples(st.floats(1e-6, 1e6)), children)
+
+
+VALID_TREES = st.recursive(
+    valid_boxes(), lambda kids: valid_boxes(st.lists(kids, min_size=1, max_size=3)),
+    max_leaves=6)
+
+
+def assert_same_tree(a, b):
+    for name in ("center", "axes", "extents"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert len(a.children) == len(b.children)
+    for x, y in zip(a.children, b.children):
+        assert_same_tree(x, y)
+
+
+@PROPERTY
+@given(VALID_TREES)
+def test_box_tree_round_trip_is_bit_identical(tmp_path_factory, tree):
+    path = tmp_path_factory.mktemp("boxes") / "tree.box.json"
+    save_structure(tree, path)
+    assert_same_tree(load_structure(path), tree)
+
+
+SMALL_CONFIGS = st.builds(
+    NetworkConfig, hops=st.integers(0, 3), channels=st.integers(1, 6),
+    layers_per_block=st.integers(1, 3), blocks=st.integers(1, 3),
+    normalization=st.sampled_from(NORMALIZATION_MODES), residual_every=st.integers(1, 3),
+    use_bias=st.booleans(), seed=st.integers(0, 2 ** 32), in_channels=st.integers(1, 4))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(SMALL_CONFIGS, st.integers(0, 2 ** 32))
+def test_checkpoint_round_trip_is_bit_identical(tmp_path_factory, config, seed):
+    net = DeformationNetwork(config)
+    # Every parameter random, the zero-initialized biases and coordinate layers too.
+    net.arena[...] = np.random.default_rng(seed).standard_normal(net.arena.size)
+    path = tmp_path_factory.mktemp("ckpt") / "net.stdn"
+    save_checkpoint(path, net)
+    back = load_checkpoint(path)
+    assert back.config == config
+    assert back.arena.tobytes() == net.arena.tobytes()
