@@ -209,22 +209,20 @@ def tagcn(x: Tensor, weights: "list[Tensor]", bias: "Tensor | None" = None,
           a=None, a_t=None, relu: bool = False, skip: "Tensor | None" = None) -> Tensor:
     """One TAGCN layer, relu?(sum_k A^k x W_k + bias) + skip, as one tape node.
 
-    ``a`` is the (sparse or dense) graph operator and ``a_t`` its transpose,
-    which defaults to ``a.T``; neither is needed when there is only W_0. The
-    hops s_k = A s_(k-1) are built and dropped one at a time, so no power of A
-    and no hop signal is kept. The vjp holds only x, the weights and the relu
-    mask: with h_0 = g * mask and h_k = A^T h_(k-1), gW_k = x^T h_k and
+    ``a`` is the (sparse or dense) graph operator and ``a_t`` its transpose;
+    neither is needed when there is only W_0. The hops s_k = A s_(k-1) are
+    built and dropped one at a time, so no power of A and no hop signal is
+    kept. The vjp holds only x, the weights and the relu mask: with
+    h_0 = g * mask and h_k = A^T h_(k-1), gW_k = x^T h_k and
     gx = sum_k h_k W_k^T.
     """
-    if not weights or (len(weights) > 1 and a is None):
-        raise ValueError("tagcn needs W_0, plus a graph operator for each further hop")
+    if not weights or (len(weights) > 1 and (a is None or a_t is None)):
+        raise ValueError("tagcn needs W_0, plus an operator and its transpose per further hop")
     inputs = (x, *weights) + tuple(t for t in (bias, skip) if t is not None)
     tape = _same_tape(*inputs)
     for w in weights:
         if w.shape != weights[0].shape or x.shape[1] != w.shape[0]:
             raise DimensionError(f"tagcn mismatch: {x.shape} @ {w.shape}")
-    if a_t is None and a is not None:
-        a_t = a.T
     xv, w_values = x.value, [w.value for w in weights]
     out, s = xv @ w_values[0], xv
     for wv in w_values[1:]:

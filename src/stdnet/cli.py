@@ -20,7 +20,7 @@ from .errors import (DataFormatError, DegenerateMeshError, DimensionError,
                      EmptyInputError, NumericalError)
 from .fixtures import FIXTURE_KINDS, DatasetPair, make_fixtures
 from .mesh import TriangleMesh, join_indices, midpoint_subdivide, read_obj, write_obj
-from .metrics import evaluate, write_metrics
+from .metrics import MAX_RESOLUTION, evaluate, write_metrics
 from .network import DeformationNetwork, load_checkpoint
 from .selfcheck import gradcheck_suite
 from .train import TrainConfig, train
@@ -38,12 +38,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _bounded(kind, low, strict: bool = False):
-    """argparse type: a ``kind`` value >= low, or > low when ``strict``."""
+def _bounded(kind, low, strict: bool = False, high=None):
+    """argparse type: a ``kind`` value >= low (> low when ``strict``), and <= ``high``."""
     def parse(text: str):
         value = kind(text)
         if not (value > low if strict else value >= low):
             raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
@@ -86,7 +88,8 @@ def _build_parser() -> _Parser:
     p.add_argument("dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_bounded(int, 0), default=0)
-    p.add_argument("--resolution", type=_bounded(int, 8), default=32)
+    p.add_argument("--resolution", type=_bounded(int, 8, high=MAX_RESOLUTION),
+                   default=32)
     p.add_argument("--threshold", type=_bounded(float, 0.0, strict=True), default=1e-4)
     p.add_argument("--quiet", action="store_true")
 

@@ -189,14 +189,11 @@ def edge_loss(vertices: Tensor, edges: np.ndarray) -> Tensor:
 
 @dataclass
 class LossReport:
-    """Per-term loss values; l_all = l_cd + lambda_lap*l_lap + lambda_edge*l_edge."""
+    """Each loss term summed over the blocks, and the terms of each block."""
 
     l_cd: float
     l_lap: float
     l_edge: float
-    l_all: float
-    lambda_lap: float
-    lambda_edge: float
     per_block: list = field(default_factory=list)
 
 
@@ -223,15 +220,6 @@ def total_loss(blocks: list[BlockOutput], target: SampleBatch, n_samples: int,
         edge_terms.append(edge)
         per_block.append({"block": b + 1, "l_cd": cd.item(),
                           "l_lap": lap.item(), "l_edge": edge.item()})
-    cd_sum, lap_sum, edge_sum = (_sum_terms(t) for t in (cd_terms, lap_terms, edge_terms))
+    cd_sum, lap_sum, edge_sum = (sum(t[1:], t[0]) for t in (cd_terms, lap_terms, edge_terms))
     l_all = cd_sum + (scalar_mul(lambda_lap, lap_sum) + scalar_mul(lambda_edge, edge_sum))
-    report = LossReport(cd_sum.item(), lap_sum.item(), edge_sum.item(),
-                        l_all.item(), lambda_lap, lambda_edge, per_block)
-    return l_all, report
-
-
-def _sum_terms(terms: list[Tensor]) -> Tensor:
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    return l_all, LossReport(cd_sum.item(), lap_sum.item(), edge_sum.item(), per_block)

@@ -64,10 +64,6 @@ class TriangleMesh:
             self._edges = e
         return self._edges
 
-    @property
-    def euler_characteristic(self) -> int:
-        return self.n_vertices - self.n_edges + self.n_faces
-
     def is_closed(self) -> bool:
         """True when every edge is shared by exactly two faces."""
         if self.n_faces == 0:

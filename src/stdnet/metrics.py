@@ -21,6 +21,8 @@ from .network import DeformationNetwork
 F1_SAMPLES = 2500
 # (face, cell) rows per separating-axis chunk: the temporaries stay in cache.
 SAT_CHUNK_ROWS = 4096
+# The largest grid side whose int32 component labels (4 r^3 bytes) stay addressable.
+MAX_RESOLUTION = int((np.iinfo(np.intp).max // 4) ** (1 / 3))
 DISTANCE_CONVENTION = "squared distance, meshes jointly normalized to the unit cube"
 
 
@@ -175,8 +177,8 @@ def voxel_iou(mesh_a: TriangleMesh, mesh_b: TriangleMesh, resolution: int = 32) 
 
 def _grid_iou(mesh_a: TriangleMesh, mesh_b: TriangleMesh, resolution: int) -> float:
     """``voxel_iou`` without the warnings, which are process-global state."""
-    if resolution < 8:
-        raise ValueError("resolution must be >= 8")
+    if not 8 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [8, {MAX_RESOLUTION}], got {resolution}")
     joint = np.concatenate([mesh_a.vertices, mesh_b.vertices])
     if not np.isfinite(joint).all():
         raise NumericalError("voxel_iou got non-finite vertices")

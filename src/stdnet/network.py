@@ -57,7 +57,9 @@ def config_from_dict(cls, data):
 
 
 @dataclass
-class NetworkConfig:
+class ArchitectureConfig:
+    """The fields that shape the layer stack, shared by NetworkConfig and TrainConfig."""
+
     hops: int = 2
     channels: int = 192
     layers_per_block: int = 14
@@ -66,11 +68,17 @@ class NetworkConfig:
     residual_every: int = 2
     use_bias: bool = True
     seed: int = 0
+
+
+@dataclass
+class NetworkConfig(ArchitectureConfig):
     in_channels: int = 3
 
     def validate(self) -> None:
         if self.hops < 0:
             raise ValueError("hops must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if min(self.channels, self.layers_per_block, self.blocks, self.in_channels) < 1:
             raise ValueError("channels, layers_per_block, blocks and in_channels must be >= 1")
         if self.normalization not in NORMALIZATION_MODES:
@@ -96,7 +104,7 @@ class NetworkConfig:
 
 
 class TagcnLayer:
-    """One graph-convolution layer: f(sum_{k=0..K} A^k X W_k + bias).
+    """One graph-convolution layer: f(sum_{k=0..K} A^k X W_k + bias), f relu or identity.
 
     W_k have shape (in_channels, out_channels); the k = 0 term uses X
     directly. ``rng`` draws a Glorot-uniform init of the weights (the bias
@@ -107,15 +115,13 @@ class TagcnLayer:
     """
 
     def __init__(self, in_channels: int, out_channels: int, hops: int = 2,
-                 use_bias: bool = True, activation: str = "relu",
+                 use_bias: bool = True, relu: bool = True,
                  rng: np.random.Generator | None = None,
                  name: str = "layer", alloc=np.zeros):
-        if activation not in ("relu", "identity"):
-            raise ValueError(f"unknown activation {activation!r}")
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.hops = hops
-        self.activation = activation
+        self.relu = relu
         self.name = name
         self.weights = [alloc((in_channels, out_channels)) for _ in range(hops + 1)]
         self.bias = alloc((1, out_channels)) if use_bias else None
@@ -147,8 +153,7 @@ class TagcnLayer:
         weights = [bound[f"{self.name}.W{k}"] for k in range(self.hops + 1)]
         bias = bound[f"{self.name}.bias"] if self.bias is not None else None
         operators = (None, None) if adj is None else (adj.csr, adj.csr_t)
-        return tagcn(x, weights, bias, *operators,
-                     relu=self.activation == "relu", skip=skip)
+        return tagcn(x, weights, bias, *operators, relu=self.relu, skip=skip)
 
 
 class DeformationBlock:
@@ -170,11 +175,11 @@ class DeformationBlock:
         for l in range(cfg.layers_per_block):
             self.layers.append(TagcnLayer(
                 in_channels if l == 0 else cfg.channels, cfg.channels,
-                hops=cfg.hops, use_bias=cfg.use_bias, activation="relu",
+                hops=cfg.hops, use_bias=cfg.use_bias,
                 rng=rng, name=f"block{index}.layer{l + 1:02d}", alloc=alloc))
         self.coord = TagcnLayer(
             cfg.channels, 3, hops=cfg.hops, use_bias=cfg.use_bias,
-            activation="identity", name=f"block{index}.coord", alloc=alloc)
+            relu=False, name=f"block{index}.coord", alloc=alloc)
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         out = []
@@ -227,7 +232,7 @@ class BlockOutput:
         return self.v_out.shape[0]
 
     def mesh(self) -> TriangleMesh:
-        return TriangleMesh(self.v_out.value.copy(), self.faces)
+        return TriangleMesh(self.v_out.value, self.faces)
 
 
 class DeformationNetwork:

@@ -11,7 +11,7 @@ from .mesh import build_adjacency
 from .network import BlockOutput, DeformationNetwork, NetworkConfig, TagcnLayer
 
 
-def _octahedron_mesh():
+def _box_mesh():
     box = ObbNode(np.zeros(3), np.eye(3), (0.5, 0.4, 0.3))
     return mesh_cuboid(box, 0)  # 8 vertices, 12 faces, 18 edges
 
@@ -25,7 +25,7 @@ def gradcheck_suite(seed: int = 0, h: float = 1e-5,
     one-sided.
     """
     rng = np.random.default_rng(seed)
-    mesh = _octahedron_mesh()
+    mesh = _box_mesh()
     adj = build_adjacency(mesh, hops=2)
     checks = []
 

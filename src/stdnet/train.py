@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -13,16 +13,16 @@ from .errors import DataFormatError, EmptyInputError, NumericalError
 from .fixtures import DatasetPair
 from .losses import chamfer_loss, sample_surface, total_loss
 from .mesh import TriangleMesh
-from .network import (DeformationNetwork, ForwardPlan, NetworkConfig, config_from_dict,
-                      network_forward, save_checkpoint)
+from .network import (ArchitectureConfig, DeformationNetwork, ForwardPlan, NetworkConfig,
+                      config_from_dict, network_forward, save_checkpoint)
 
 CURVE_HEADER = "iteration,l_cd,l_lap,l_edge,L_all,val_cd"
 _VAL_STREAM = 2  # train draws use seed stream 1, validation stream 2
 
 
 @dataclass
-class TrainConfig:
-    """Training hyperparameters; the JSON form uses exactly these field names."""
+class TrainConfig(ArchitectureConfig):
+    """Architecture and training hyperparameters; the JSON form uses exactly these names."""
 
     lr: float = 3e-5
     beta1: float = 0.9
@@ -34,14 +34,6 @@ class TrainConfig:
     lambda_lap: float = 0.3
     lambda_edge: float = 0.1
     samples: int = 1000
-    seed: int = 0
-    hops: int = 2
-    channels: int = 192
-    layers_per_block: int = 14
-    blocks: int = 3
-    normalization: str = "sym"
-    residual_every: int = 2
-    use_bias: bool = True
 
     def validate(self) -> None:
         if not self.lr > 0:
@@ -55,17 +47,14 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if 24 * self.samples > np.iinfo(np.intp).max:
+            raise ValueError(f"{self.samples} samples of 3 float64 coordinates exceed "
+                             "the largest array this platform can address")
         self.network_config().validate()
 
     def network_config(self) -> NetworkConfig:
-        return NetworkConfig(
-            hops=self.hops, channels=self.channels,
-            layers_per_block=self.layers_per_block, blocks=self.blocks,
-            normalization=self.normalization, residual_every=self.residual_every,
-            use_bias=self.use_bias, seed=self.seed)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        return NetworkConfig(**{f.name: getattr(self, f.name)
+                                for f in fields(ArchitectureConfig)})
 
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
@@ -79,10 +68,9 @@ class TrainConfig:
 class Adam:
     """Adam with bias correction and optional L2 weight decay folded into g.
 
-    A parameter missing from the gradients of a step is updated as if its
-    gradient were zero: weight decay still applies and the moments decay.
-    ``m`` and ``v`` are views into two flat buffers, and each step updates
-    the parameters in place through one preallocated scratch buffer.
+    Every step needs a gradient for every parameter. ``m`` and ``v`` are
+    views into two flat buffers, and each step updates the parameters in
+    place through one preallocated scratch buffer.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 3e-5,
@@ -101,7 +89,7 @@ class Adam:
         for name, p in self.params.items():
             g = grads.get(name)
             if g is None:
-                continue
+                raise ValueError(f"no gradient for parameter {name!r}")
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter {p.shape} for {name}")
             if not np.isfinite(g).all():
@@ -111,7 +99,7 @@ class Adam:
         bc2 = 1.0 - b2 ** self.t
         s1 = self.lr / (1.0 - b1 ** self.t)
         for name, p in self.params.items():
-            g = grads.get(name)
+            g = grads[name]
             m, v = self.m[name], self.v[name]
             gi, tmp = (row[:p.size].reshape(p.shape) for row in self._scratch)
             # gi = g + wd*p; m *= b1; m += (1-b1)*gi; v *= b2; v += (1-b2)*(gi*gi);
@@ -119,7 +107,7 @@ class Adam:
             # the same order and each temporary written into the scratch, so
             # every element rounds as with one fresh array per operation.
             np.multiply(wd, p, out=gi)
-            np.add(0.0 if g is None else g, gi, out=gi)
+            np.add(g, gi, out=gi)
             m *= b1
             m += np.multiply(1.0 - b1, gi, out=tmp)
             v *= b2

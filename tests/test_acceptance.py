@@ -125,7 +125,7 @@ class TestCriterion3TopologyLaws:
             mesh = sn.midpoint_subdivide(mesh)
             assert mesh.n_vertices == v + e
             assert mesh.n_faces == 4 * f
-            assert mesh.euler_characteristic == 2
+            assert mesh.n_vertices - mesh.n_edges + mesh.n_faces == 2
             counts.append(mesh.n_vertices)
         assert counts == [8, 26, 98]
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from stdnet.cli import main
 from stdnet.errors import DataFormatError
 from stdnet.fixtures import make_fixtures
 from stdnet.mesh import TriangleMesh, format_obj, read_obj, write_obj
+from stdnet.metrics import MAX_RESOLUTION
 from stdnet.network import DeformationNetwork, network_forward, save_checkpoint
 from stdnet.train import TrainConfig
 
@@ -34,7 +36,7 @@ def small_train_config(tmp_path, **overrides):
                layers_per_block=2, seed=0)
     cfg.update(overrides)
     path = tmp_path / "config.json"
-    path.write_text(TrainConfig(**cfg).to_json())
+    path.write_text(json.dumps(asdict(TrainConfig(**cfg)), indent=2))
     return path
 
 
@@ -56,6 +58,7 @@ class TestUsage:
         ("fixtures", "--seed", "-1", "must be >= 0"),
         ("meshbox", "--subdivisions", "-1", "must be >= 0"),
         ("eval", "--resolution", "4", "must be >= 8"),
+        ("eval", "--resolution", "10000000", f"must be <= {MAX_RESOLUTION}"),
         ("eval", "--threshold", "0", "must be > 0"),
     ])
     def test_out_of_range_argument_is_usage_error(self, command, flag, value, message,
@@ -387,6 +390,27 @@ class TestTrainDeformEval:
                      "--config", str(cfg), "--quiet"]) == 2
         assert f"{count} float64 parameters" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"samples": 10**20}, f"{10**20} samples of 3 float64 coordinates exceed")])
+    def test_train_config_past_its_bound_is_data_error(self, tmp_path, capsys, changes,
+                                                       message):
+        cfg = small_train_config(tmp_path, **changes)
+        assert main(["train", "cube-to-sphere", "--out", str(tmp_path / "run"),
+                     "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stdnet: error:") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "run").exists()
+
+    def test_deform_negative_header_seed_is_data_error(self, tmp_path, unit_cube_json,
+                                                       small_checkpoint, capsys):
+        rewrite_header_config(small_checkpoint, seed=-1)
+        assert main(["deform", str(small_checkpoint), str(unit_cube_json),
+                     "--out", str(tmp_path / "d"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "seed must be >= 0" in err
+        assert not (tmp_path / "d").exists()
 
     def test_deform_unaddressable_header_config_is_data_error(self, tmp_path, unit_cube_json,
                                                               small_checkpoint, capsys):

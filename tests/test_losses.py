@@ -387,10 +387,8 @@ class TestTotalLoss:
         target = sample_surface(mesh.vertices * 1.2, mesh.faces, 50,
                                 np.random.default_rng(14))
         loss, report = total_loss(blocks, target, 50, np.random.default_rng(15))
-        assert loss.item() == report.l_all
-        assert report.l_all == self._combine(
-            report.l_cd, report.l_lap, report.l_edge,
-            report.lambda_lap, report.lambda_edge)
+        assert loss.item() == self._combine(
+            report.l_cd, report.l_lap, report.l_edge, 0.3, 0.1)
         assert len(report.per_block) == 1
 
     def test_zero_regularizers_reduce_to_chamfer(self):
@@ -413,9 +411,9 @@ class TestTotalLoss:
         assert report.l_lap == 0.0
 
     def test_report_json_round_trip(self):
-        report = LossReport(1.0, 2.0, 3.0, 1.9, 0.3, 0.1, [{"block": 1}])
+        report = LossReport(1.0, 2.0, 3.0, [{"block": 1}])
         data = json.loads(json.dumps(asdict(report)))
-        assert data["l_all"] == 1.9 and data["per_block"] == [{"block": 1}]
+        assert data == {"l_cd": 1.0, "l_lap": 2.0, "l_edge": 3.0, "per_block": [{"block": 1}]}
 
     def test_equal_sample_counts_both_sides(self):
         mesh = mesh_cuboid(ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5)))

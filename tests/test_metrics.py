@@ -17,8 +17,8 @@ from stdnet import (FIXTURE_KINDS, DatasetPair, DeformationNetwork,
 from stdnet import metrics
 from stdnet.fixtures import icosphere
 from stdnet.losses import kdtree, nearest_neighbors
-from stdnet.metrics import (chamfer_metric, mesh_occupancy, normalize_to_unit_cube,
-                            surface_voxels)
+from stdnet.metrics import (MAX_RESOLUTION, chamfer_metric, mesh_occupancy,
+                            normalize_to_unit_cube, surface_voxels)
 
 
 def cube_mesh(half=0.5, center=(0, 0, 0), subdivisions=0):
@@ -187,6 +187,13 @@ class TestVoxelIou:
         mesh = cube_mesh()
         with pytest.raises(ValueError):
             voxel_iou(mesh, mesh, 4)
+
+    def test_resolution_ceiling_keeps_the_labels_addressable(self):
+        # ndimage.label's int32 grid takes 4 r^3 bytes
+        assert 4 * MAX_RESOLUTION ** 3 <= np.iinfo(np.intp).max < 4 * (MAX_RESOLUTION + 1) ** 3
+        mesh = cube_mesh()
+        with pytest.raises(ValueError, match=str(MAX_RESOLUTION)):
+            voxel_iou(mesh, mesh, MAX_RESOLUTION + 1)
 
     def test_non_finite_vertex_rejected(self):
         good = cube_mesh()

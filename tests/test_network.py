@@ -34,7 +34,7 @@ def small_config(**overrides):
 
 class TestTagcnLayer:
     def test_identity_configuration_returns_input(self):
-        layer = TagcnLayer(3, 3, hops=2, activation="identity")
+        layer = TagcnLayer(3, 3, hops=2, relu=False)
         layer.weights[0][...] = np.eye(3)
         mesh = unit_cube_mesh()
         adj = build_adjacency(mesh, 2)
@@ -46,7 +46,7 @@ class TestTagcnLayer:
     def test_isolated_vertex_hand_expansion(self):
         # one vertex with a self loop: every power of the adjacency is 1, so
         # the output is f(x (W0 + W1 + W2))
-        layer = TagcnLayer(2, 2, hops=2, use_bias=False, activation="identity",
+        layer = TagcnLayer(2, 2, hops=2, use_bias=False, relu=False,
                            rng=np.random.default_rng(1))
         adj = AdjacencyOperator.from_edges(1, np.empty((0, 2), int), hops=2, mode="sym")
         x = np.array([[0.3, -0.7]])
@@ -87,7 +87,7 @@ class TestTagcnLayer:
         assert not changed[3:].any()
 
     def test_hops_zero_is_pointwise(self):
-        layer = TagcnLayer(3, 3, hops=0, use_bias=False, activation="identity",
+        layer = TagcnLayer(3, 3, hops=0, use_bias=False, relu=False,
                            rng=np.random.default_rng(4))
         x = np.random.default_rng(5).normal(size=(4, 3))
         out = apply_layer(layer, None, Tape().leaf(x))
@@ -210,6 +210,13 @@ class TestFusedTagcn:
         with pytest.raises(ValueError):
             tagcn(t.leaf(x), [t.leaf(w), t.leaf(w)])
 
+    def test_further_hops_need_the_transpose(self):
+        adj = build_adjacency(unit_cube_mesh(), 1, "row")
+        t = Tape()
+        x, w = t.leaf(np.ones((8, 3))), t.leaf(np.ones((3, 2)))
+        with pytest.raises(ValueError, match="transpose"):
+            tagcn(x, [w, w], None, adj.csr)
+
 
 class TestPermutationEquivariance:
     def test_tagcn_commutes_with_permutation(self):
@@ -244,7 +251,7 @@ class TestGraphUnpool:
         mesh = midpoint_subdivide(cube)
         assert op.shape == (mesh.n_vertices, cube.n_vertices) == (26, 8)
         assert (mesh.n_vertices, mesh.n_faces) == (26, 48)
-        assert mesh.euler_characteristic == 2
+        assert mesh.n_vertices - mesh.n_edges + mesh.n_faces == 2
         assert mesh.is_closed()
 
     def test_identity_rows(self):

@@ -1,5 +1,5 @@
-"""Property-based tests of the file parsers, the config size rule and the
-OBJ, box-tree and checkpoint round trips.
+"""Property-based tests of the file parsers, the config size rule, the
+OBJ, box-tree and checkpoint round trips, and the gradients of the graph ops.
 
 Each property runs a fixed, derandomized set of examples, so a failure
 reproduces on every run; no example database is written.
@@ -8,13 +8,16 @@ reproduces on every run; no example database is written.
 import sys
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stdnet.autodiff import Tape, gradcheck, sparse_matmul, tagcn
 from stdnet.boxes import (ObbNode, load_structure, mesh_cuboid, save_structure,
                           structure_from_dict)
 from stdnet.errors import DataFormatError, StdnetError
-from stdnet.mesh import NORMALIZATION_MODES, TriangleMesh, format_obj, parse_obj
+from stdnet.mesh import (NORMALIZATION_MODES, AdjacencyOperator, TriangleMesh, format_obj,
+                         parse_obj)
 from stdnet.network import (DeformationNetwork, NetworkConfig, load_checkpoint,
                             save_checkpoint)
 
@@ -180,3 +183,41 @@ def test_checkpoint_round_trip_is_bit_identical(tmp_path_factory, config, seed):
     back = load_checkpoint(path)
     assert back.config == config
     assert back.arena.tobytes() == net.arena.tobytes()
+
+
+@settings(PROPERTY, max_examples=40)
+@given(valid_boxes(), st.integers(0, 1), st.sampled_from(["sym", "row"]), st.integers(0, 3),
+       st.integers(1, 3), st.integers(1, 3), st.booleans(), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32))
+def test_tagcn_gradients_match_central_differences(box, subdivisions, mode, hops, c_in,
+                                                    c_out, relu, use_bias, use_skip, seed):
+    mesh = mesh_cuboid(box, subdivisions)
+    adj = AdjacencyOperator.from_edges(mesh.n_vertices, mesh.edges, mode=mode)
+    rng = np.random.default_rng(seed)
+    params = {"x": rng.normal(size=(mesh.n_vertices, c_in)),
+              **{f"W{k}": rng.normal(size=(c_in, c_out)) for k in range(hops + 1)}}
+    if use_bias:
+        params["bias"] = rng.normal(size=(1, c_out))
+    if use_skip:
+        params["skip"] = rng.normal(size=(mesh.n_vertices, c_out))
+
+    def loss(ts):
+        named = dict(zip(params, ts))
+        return tagcn(named["x"], ts[1:hops + 2], named.get("bias"), adj.csr, adj.csr_t,
+                     relu=relu, skip=named.get("skip")).square().sum()
+
+    report = gradcheck(loss, params, tol=1e-6)
+    assert report.passed, report
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(1, 3), st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 32))
+def test_sparse_matmul_matches_dense_product_and_gradient(rows, cols, width, density, seed):
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    m = sp.csr_array(dense)
+    x = rng.normal(size=(cols, width))
+    assert np.allclose(sparse_matmul(m, Tape().leaf(x)).value, dense @ x, rtol=1e-12, atol=1e-12)
+    report = gradcheck(lambda ts: sparse_matmul(m, ts[0]).square().sum(), [x], tol=1e-6)
+    assert report.passed, report
