@@ -1,7 +1,9 @@
 """Command-line pipeline: fixtures, meshing, training, deformation, evaluation.
 
-Exit codes: 0 success, 1 usage error, 2 data or format error, 3 numerical
-failure (non-finite loss, failed gradient check). Diagnostics go to stderr.
+Exit codes: 0 success, 1 usage error, 2 data or format error (any library
+error, operating-system error on a path, or running out of memory), 3
+numerical failure (non-finite loss or block prediction, failed gradient
+check). Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -16,19 +18,13 @@ import numpy as np
 from . import __version__
 from .autodiff import Tape
 from .boxes import load_structure, mesh_cuboid, save_structure
-from .errors import (DataFormatError, DegenerateMeshError, DimensionError,
-                     EmptyInputError, NumericalError)
+from .errors import DataFormatError, NumericalError, StdnetError
 from .fixtures import FIXTURE_KINDS, DatasetPair, make_fixtures
 from .mesh import TriangleMesh, join_indices, midpoint_subdivide, read_obj, write_obj
 from .metrics import MAX_RESOLUTION, evaluate, write_metrics
 from .network import DeformationNetwork, load_checkpoint
 from .selfcheck import gradcheck_suite
 from .train import TrainConfig, train
-
-_DATA_ERRORS = (DataFormatError, EmptyInputError, DegenerateMeshError,
-                DimensionError, FileNotFoundError, FileExistsError,
-                IsADirectoryError, NotADirectoryError)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
@@ -249,7 +245,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"stdnet: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except _DATA_ERRORS as exc:
+    except (StdnetError, OSError, MemoryError) as exc:
         print(f"stdnet: error: {exc}", file=sys.stderr)
         return 2
 

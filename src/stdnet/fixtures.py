@@ -149,17 +149,12 @@ def make_fixtures(kind: str, seed: int = 0) -> list[DatasetPair]:
     if kind == "cube-to-sphere":
         cube = ObbNode(np.zeros(3), np.eye(3), (0.5, 0.5, 0.5))
         return [DatasetPair("cube_to_sphere", cube, icosphere(3, radius=1.0))]
-    if kind == "box-to-ellipsoid":
-        pairs = []
-        for i in range(2):
-            box = _random_box(rng)
-            target = _ellipsoid(box.center, box.axes, box.extents * 1.2)
-            pairs.append(DatasetPair(f"box_to_ellipsoid_{i}", box, target))
-        return pairs
     if kind == "two-box-chair":
         return [_chair(rng)]
     pairs = []
     for i in range(2):
         box = _random_box(rng)
-        pairs.append(DatasetPair(f"random_box_smooth_{i}", box, _rounded_box(box)))
+        target = (_ellipsoid(box.center, box.axes, box.extents * 1.2)
+                  if kind == "box-to-ellipsoid" else _rounded_box(box))
+        pairs.append(DatasetPair(f"{kind.replace('-', '_')}_{i}", box, target))
     return pairs

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .autodiff import Tape, Tensor, concat_rows, sparse_matmul, tagcn
-from .errors import DataFormatError, DimensionError, EmptyInputError
+from .errors import DataFormatError, DimensionError, EmptyInputError, NumericalError
 from .mesh import (AdjacencyOperator, NORMALIZATION_MODES, TriangleMesh, join_indices,
                    midpoint_operator, subdivide_topology, unique_edges)
 
@@ -97,10 +97,6 @@ class NetworkConfig(ArchitectureConfig):
         tail = (self.layers_per_block - 1) * layer(c, c) + layer(c, 3)
         return (layer(self.in_channels, c) + (self.blocks - 1) * layer(c, c)
                 + self.blocks * tail)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NetworkConfig":
-        return config_from_dict(cls, data)
 
 
 class TagcnLayer:
@@ -336,7 +332,11 @@ class DeformationNetwork:
                 raise DimensionError(
                     f"stage {b}: plan expects {stage.n_vertices} vertices, "
                     f"got {vertices.shape[0]}")
-            pred, feats = block.apply(vertices, features, stage.adj, bound)
+            # The check below raises in place of numpy's warnings; errstate is thread-local.
+            with np.errstate(over="ignore", invalid="ignore"):
+                pred, feats = block.apply(vertices, features, stage.adj, bound)
+            if not np.isfinite(pred.value).all():
+                raise NumericalError(f"block {b + 1} predicted non-finite vertices")
             outputs.append(BlockOutput(stage.faces, stage.edges, vertices, pred))
             if stage.unpool is not None:
                 vertices = sparse_matmul(stage.unpool, pred)
@@ -349,8 +349,7 @@ class DeformationNetwork:
         """Run every part mesh and join each block's outputs into one disjoint mesh.
 
         Parts share one weight binding and are joined in input order, so the
-        vertices of part p follow those of parts 0..p-1. A single part's
-        outputs are returned as they are.
+        vertices of part p follow those of parts 0..p-1.
         """
         if not meshes:
             raise EmptyInputError("forward_parts needs at least one mesh")
@@ -360,8 +359,6 @@ class DeformationNetwork:
             bound = self.bind(tape)
         per_part = [self.forward(tape, mesh, plan=plan, bound=bound)
                     for mesh, plan in zip(meshes, plans)]
-        if len(per_part) == 1:
-            return per_part[0]
         joined = []
         for outs in zip(*per_part):
             counts = [o.n_vertices for o in outs]
@@ -373,14 +370,13 @@ class DeformationNetwork:
         return joined
 
 
-def network_forward(net: DeformationNetwork, *meshes: TriangleMesh,
-                    plans: list[ForwardPlan] | None = None) -> list[TriangleMesh]:
+def network_forward(net: DeformationNetwork, *meshes: TriangleMesh) -> list[TriangleMesh]:
     """Predicted mesh of every block, for one mesh or several parts joined in order.
 
     The read-only entry point: the tape is private to the call, so nothing
     of the forward pass outlives it.
     """
-    return [out.mesh() for out in net.forward_parts(Tape(), list(meshes), plans=plans)]
+    return [out.mesh() for out in net.forward_parts(Tape(), list(meshes))]
 
 
 def save_checkpoint(path, net: DeformationNetwork) -> None:
@@ -423,7 +419,7 @@ def load_checkpoint(path) -> DeformationNetwork:
                 f"checkpoint header length {header_len} exceeds the {size}-byte file")
         try:
             header = json.loads(fh.read(header_len).decode("ascii"))
-            config = NetworkConfig.from_dict(header["config"])
+            config = config_from_dict(NetworkConfig, header["config"])
             entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
             expected = 8 * config.parameter_count()
         except (KeyError, TypeError, ValueError) as exc:

@@ -14,7 +14,7 @@ from .fixtures import DatasetPair
 from .losses import chamfer_loss, sample_surface, total_loss
 from .mesh import TriangleMesh
 from .network import (ArchitectureConfig, DeformationNetwork, ForwardPlan, NetworkConfig,
-                      config_from_dict, network_forward, save_checkpoint)
+                      config_from_dict, save_checkpoint)
 
 CURVE_HEADER = "iteration,l_cd,l_lap,l_edge,L_all,val_cd"
 _VAL_STREAM = 2  # train draws use seed stream 1, validation stream 2
@@ -164,8 +164,8 @@ def _validation_chamfer(net: DeformationNetwork, prepared: list[PreparedPair],
     rng = np.random.default_rng([config.seed, _VAL_STREAM])
     values = []
     for prep in prepared:
-        final = network_forward(net, *prep.parts, plans=prep.plans)[-1]
-        pred = sample_surface(final.vertices, final.faces, config.samples, rng)
+        final = net.forward_parts(Tape(), prep.parts, plans=prep.plans)[-1]
+        pred = sample_surface(final.v_out.value, final.faces, config.samples, rng)
         target = sample_surface(prep.target.vertices, prep.target.faces,
                                 config.samples, rng)
         values.append(chamfer_loss(pred, target).item())

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stdnet
 from stdnet import cli
 from stdnet.boxes import mesh_cuboid, save_structure
 from stdnet.cli import main
@@ -29,6 +34,24 @@ def small_checkpoint(tmp_path):
     save_checkpoint(path, DeformationNetwork(
         TrainConfig(channels=6, layers_per_block=2).network_config()))
     return path
+
+
+def run_stdnet(*args, code="from stdnet.cli import entry; entry()"):
+    """Run ``code`` with ``args`` in a fresh interpreter; (exit code, stderr)."""
+    src = str(Path(stdnet.__file__).parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=300)
+    return out.returncode, out.stderr
+
+
+# Lowers the address-space limit of its own process, after the imports, so a
+# request for petabytes fails at the allocation call without touching memory.
+UNDER_3_GIB = """import resource, sys
+from stdnet.cli import main
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(sys.argv[1:]))"""
 
 
 def small_train_config(tmp_path, **overrides):
@@ -78,6 +101,23 @@ class TestUsage:
                      "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("stdnet: error:") and err.count("\n") == 1
+
+    def test_over_long_out_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / ("a" * 300)  # past NAME_MAX: OSError ENAMETOOLONG
+        assert main(["fixtures", "cube-to-sphere", "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stdnet: error:") and err.count("\n") == 1
+
+    def test_out_of_memory_is_data_error(self, tmp_path, small_checkpoint):
+        cfg = tmp_path / "samples.json"
+        cfg.write_text(json.dumps({"samples": 10**15, "iterations": 1}))
+        for args in (["train", "cube-to-sphere", "--config", str(cfg)],
+                     ["eval", str(small_checkpoint), "cube-to-sphere",
+                      "--resolution", "100000"]):
+            code, err = run_stdnet(*args, "--out", str(tmp_path / "o"), "--quiet",
+                                   code=UNDER_3_GIB)
+            assert code == 2, err
+            assert err.startswith("stdnet: error:") and err.count("\n") == 1
 
     def test_value_error_in_a_handler_is_not_a_data_error(self, tmp_path, monkeypatch):
         obj = tmp_path / "cube.obj"
@@ -238,7 +278,6 @@ class TestTrainDeformEval:
         assert main(["train", str(tmp_path / "nowhere"), "--out",
                      str(tmp_path / "run"), "--config", str(cfg), "--quiet"]) == 2
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_train_non_finite_is_numerical_error(self, tmp_path):
         fx = tmp_path / "fx"
         main(["fixtures", "cube-to-sphere", "--out", str(fx), "--quiet"])
@@ -309,6 +348,22 @@ class TestTrainDeformEval:
                      "--out", str(tmp_path / "d"), "--quiet"]) == 2
         assert "NaN or infinite" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("command", ["deform", "eval"])
+    def test_huge_weights_are_numerical_error_before_any_write(
+            self, tmp_path, unit_cube_json, capsys, command):
+        net = DeformationNetwork(TrainConfig(channels=6, layers_per_block=2).network_config())
+        net.arena[...] = 1e200  # finite, but the forward overflows
+        checkpoint = tmp_path / "huge.stdn"
+        save_checkpoint(checkpoint, net)
+        source = str(unit_cube_json) if command == "deform" else "cube-to-sphere"
+        args = [command, str(checkpoint), source, "--out", str(tmp_path / "o"), "--quiet"]
+        assert main(args) == 3
+        code, err = run_stdnet(*args)
+        assert code == 3
+        for text in (capsys.readouterr().err, err):  # no numpy RuntimeWarning either
+            assert text.count("\n") == 1 and "block 1 predicted non-finite vertices" in text
+        assert not (tmp_path / "o").exists()
 
     def test_deform_oversized_header_length_is_data_error(self, tmp_path, unit_cube_json):
         checkpoint = tmp_path / "net.stdn"

@@ -1,25 +1,30 @@
 """Property-based tests of the file parsers, the config size rule, the
-OBJ, box-tree and checkpoint round trips, and the gradients of the graph ops.
+OBJ, box-tree and checkpoint round trips, the gradients of the graph ops,
+the CLI on corrupted input files, and the subdivision counting law.
 
 Each property runs a fixed, derandomized set of examples, so a failure
 reproduces on every run; no example database is written.
 """
 
+import contextlib
+import io
 import sys
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stdnet.autodiff import Tape, gradcheck, sparse_matmul, tagcn
 from stdnet.boxes import (ObbNode, load_structure, mesh_cuboid, save_structure,
                           structure_from_dict)
+from stdnet.cli import main
 from stdnet.errors import DataFormatError, StdnetError
+from stdnet.fixtures import icosphere
 from stdnet.mesh import (NORMALIZATION_MODES, AdjacencyOperator, TriangleMesh, format_obj,
-                         parse_obj)
-from stdnet.network import (DeformationNetwork, NetworkConfig, load_checkpoint,
-                            save_checkpoint)
+                         midpoint_subdivide, parse_obj, write_obj)
+from stdnet.network import (DeformationNetwork, NetworkConfig, config_from_dict,
+                            load_checkpoint, save_checkpoint)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -118,7 +123,7 @@ SIZE_FIELDS = ("hops", "channels", "layers_per_block", "blocks", "in_channels")
 @given(st.dictionaries(st.sampled_from(SIZE_FIELDS), st.integers(-2, 10 ** 30)))
 def test_network_config_sizes_fit_an_array_or_are_rejected(sizes):
     try:
-        config = NetworkConfig.from_dict(sizes)
+        config = config_from_dict(NetworkConfig, sizes)
     except DataFormatError:
         return
     assert 0 < 8 * config.parameter_count() <= np.iinfo(np.intp).max
@@ -221,3 +226,110 @@ def test_sparse_matmul_matches_dense_product_and_gradient(rows, cols, width, den
     assert np.allclose(sparse_matmul(m, Tape().leaf(x)).value, dense @ x, rtol=1e-12, atol=1e-12)
     report = gradcheck(lambda ts: sparse_matmul(m, ts[0]).square().sum(), [x], tol=1e-6)
     assert report.passed, report
+
+
+# One corruption of a file's bytes: ("truncate", offset), ("flip", offset,
+# xor mask) or ("append", tail); offsets wrap around the file's length.
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 2 ** 16)),
+    st.tuples(st.just("flip"), st.integers(0, 2 ** 16), st.integers(1, 255)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=32)))
+
+
+def corrupt(blob: bytes, corruption) -> bytes:
+    kind, *args = corruption
+    if kind == "append":
+        return blob + args[0]
+    at = args[0] % len(blob)
+    if kind == "truncate":
+        return blob[:at]
+    return blob[:at] + bytes([blob[at] ^ args[1]]) + blob[at + 1:]
+
+
+def assert_clean_exit(argv, out):
+    """``main(argv)`` exits 0 with finite OBJs under ``out``, or 2 or 3 with one
+    stderr line and no OBJ."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    objs = sorted(out.glob("*.obj"))
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().count("\n") == 1 and objs == []
+    for path in objs:
+        coords = [float(t) for line in path.read_text().splitlines()
+                  if line.startswith("v ") for t in line.split()[1:]]
+        assert np.isfinite(coords).all()
+
+
+# Every parameter in +-[0.5, 1), so mask 0x40 on the high byte of any of them
+# gives a finite +-1e308 or so, which the example makes the first parameter.
+SMALL_NET = DeformationNetwork(NetworkConfig(channels=4, layers_per_block=1))
+_rng = np.random.default_rng(0)
+SMALL_NET.arena[...] = (_rng.uniform(0.5, 1.0, SMALL_NET.arena.size)
+                        * _rng.choice([-1.0, 1.0], SMALL_NET.arena.size))
+ONE_BOX = ObbNode(np.zeros(3), np.eye(3), (0.5, 0.25, 0.75))
+
+
+@PROPERTY
+@given(CORRUPTIONS)
+@example(corruption=("flip", -8 * SMALL_NET.arena.size + 7, 0x40))
+def test_deform_on_a_corrupted_checkpoint_fails_cleanly(tmp_path_factory, corruption):
+    tmp = tmp_path_factory.mktemp("deform")
+    checkpoint, box = tmp / "net.stdn", tmp / "box.json"
+    save_checkpoint(checkpoint, SMALL_NET)
+    checkpoint.write_bytes(corrupt(checkpoint.read_bytes(), corruption))
+    save_structure(ONE_BOX, box)
+    assert_clean_exit(["deform", str(checkpoint), str(box), "--out", str(tmp / "o"),
+                       "--quiet"], tmp / "o")
+
+
+@PROPERTY
+@given(CORRUPTIONS)
+def test_meshbox_on_a_corrupted_box_tree_fails_cleanly(tmp_path_factory, corruption):
+    tmp = tmp_path_factory.mktemp("meshbox")
+    box = tmp / "box.json"
+    save_structure(ObbNode((0.1, -0.2, 0.3), rotation((0.9, 0.1, -0.3, 0.2)), (0.5, 0.25, 0.75)),
+                   box)
+    box.write_bytes(corrupt(box.read_bytes(), corruption))
+    assert_clean_exit(["meshbox", str(box), "--out", str(tmp / "o"), "--quiet"], tmp / "o")
+
+
+@PROPERTY
+@given(CORRUPTIONS)
+def test_subdivide_on_a_corrupted_obj_fails_cleanly(tmp_path_factory, corruption):
+    tmp = tmp_path_factory.mktemp("subdivide")
+    obj = tmp / "box.obj"
+    write_obj(mesh_cuboid(ONE_BOX, 1), obj)
+    obj.write_bytes(corrupt(obj.read_bytes(), corruption))
+    assert_clean_exit(["subdivide", str(obj), "--out", str(tmp / "o"), "--quiet"], tmp / "o")
+
+
+def torus(m: int, n: int) -> TriangleMesh:
+    """A torus triangulated on an m x n grid of (major, minor) angles, two faces a cell."""
+    i, j = np.divmod(np.arange(m * n), n)
+    u, v = 2 * np.pi * i / m, 2 * np.pi * j / n
+    vertices = np.column_stack([(2 + np.cos(v)) * np.cos(u), (2 + np.cos(v)) * np.sin(u),
+                                np.sin(v)])
+    a, b = i * n + j, (i + 1) % m * n + j
+    c, d = (i + 1) % m * n + (j + 1) % n, i * n + (j + 1) % n
+    return TriangleMesh(vertices, np.concatenate([np.column_stack([a, b, c]),
+                                                  np.column_stack([a, c, d])]))
+
+
+CLOSED_MESHES = st.one_of(  # (mesh, genus)
+    st.integers(0, 2).map(lambda s: (icosphere(s), 0)),
+    st.tuples(st.integers(3, 12), st.integers(3, 12)).map(lambda mn: (torus(*mn), 1)))
+
+
+@PROPERTY
+@given(CLOSED_MESHES, st.integers(0, 2 ** 32))
+def test_counting_law_on_closed_meshes_of_genus_0_and_1(mesh_and_genus, seed):
+    mesh, genus = mesh_and_genus
+    order = np.random.default_rng(seed).permutation(mesh.n_vertices)  # relabel the vertices
+    mesh = TriangleMesh(mesh.vertices[order], np.argsort(order)[mesh.faces])
+    v, e, f = mesh.n_vertices, mesh.n_edges, mesh.n_faces
+    assert mesh.is_closed() and v - e + f == 2 - 2 * genus
+    fine = midpoint_subdivide(mesh)
+    assert (fine.n_vertices, fine.n_faces, fine.n_edges) == (v + e, 4 * f, 2 * e + 3 * f)
+    assert fine.is_closed() and fine.n_vertices - fine.n_edges + fine.n_faces == 2 - 2 * genus

@@ -282,7 +282,6 @@ class TestTrain:
         result = train(net, [pair], cfg)
         assert np.isfinite(result.best_val_chamfer)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_checkpoint(self, tmp_path):
         # an absurd learning rate overflows the parameters after one step;
         # the run must abort and keep the last good checkpoint
