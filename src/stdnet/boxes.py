@@ -139,16 +139,10 @@ def structure_from_dict(data) -> ObbNode:
     if not isinstance(data, dict):
         raise DataFormatError("structure node must be a JSON object")
     try:
-        center = np.asarray(data["center"], dtype=np.float64).reshape(3)
-        axes = np.asarray(data["axes"], dtype=np.float64).reshape(3, 3)
-        extents = np.asarray(data["extents"], dtype=np.float64).reshape(3)
         children = [structure_from_dict(c) for c in data.get("children", [])]
+        return ObbNode(data["center"], data["axes"], data["extents"], children)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataFormatError(f"bad structure node: {exc}") from exc
-    try:
-        return ObbNode(center, axes, extents, children)
-    except ValueError as exc:
-        raise DataFormatError(str(exc)) from exc
 
 
 def save_structure(node: ObbNode, path) -> None:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import ObbNode, fit_obb, mesh_cuboid
+from .errors import EmptyInputError
 from .mesh import TriangleMesh, adjacency_csr, midpoint_subdivide
 
 FIXTURE_KINDS = ("cube-to-sphere", "box-to-ellipsoid", "two-box-chair",
@@ -29,12 +30,16 @@ _ICO_FACES = np.array([
 
 @dataclass
 class DatasetPair:
-    """A deformation source box tree and its target surface."""
+    """A deformation source box tree and its target surface, which has faces."""
 
     identifier: str
     source: ObbNode
     target: TriangleMesh
     source_subdivisions: int = 0
+
+    def __post_init__(self):
+        if self.target.n_faces == 0:
+            raise EmptyInputError(f"pair {self.identifier!r} has an empty target")
 
     def source_meshes(self) -> list[TriangleMesh]:
         """Meshes fed to the network: one per leaf box."""

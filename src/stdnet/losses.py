@@ -78,17 +78,6 @@ def sample_surface(vertices, faces, n: int, rng: np.random.Generator) -> SampleB
     return SampleBatch(points, face_idx, u, w)
 
 
-def _as_point_tensor(obj, tape: Tape | None) -> Tensor:
-    if isinstance(obj, SampleBatch):
-        obj = obj.points
-    if isinstance(obj, Tensor):
-        return obj
-    arr = np.asarray(obj, dtype=np.float64)
-    if tape is None:
-        tape = Tape()
-    return tape.leaf(arr)
-
-
 @functools.cache
 def kdtree():
     """scipy's ``cKDTree``, imported on first use: loading scipy.spatial costs ~0.15 s of CPU."""
@@ -116,8 +105,8 @@ def nearest_neighbors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndar
     return (diff * diff).sum(axis=1), idx
 
 
-def nearest_sqdist(a: Tensor, b: Tensor):
-    """``nearest_neighbors`` as a tape op (n, 1), plus the indices; the pick is a constant."""
+def nearest_sqdist(a: Tensor, b: Tensor) -> Tensor:
+    """``nearest_neighbors`` as a tape op (n, 1); the pick is a constant."""
     sq, idx = nearest_neighbors(a.value, b.value)
 
     def vjp(g):
@@ -129,29 +118,23 @@ def nearest_sqdist(a: Tensor, b: Tensor):
             np.add.at(gb, idx, -scaled)
         return (ga, gb)
 
-    return a.tape.record(sq.reshape(-1, 1), (a, b), vjp, "nearest_sqdist"), idx
+    return a.tape.record(sq.reshape(-1, 1), (a, b), vjp, "nearest_sqdist")
 
 
 def chamfer_loss(pred, target) -> Tensor:
     """Summed squared nearest-neighbor distances, both directions.
 
-    Accepts SampleBatch, Tensor, or plain (n, d) arrays; at least one operand
-    should carry a tape when gradients are wanted. Neighbours come from
-    ``nearest_neighbors``: at a tie the value is the same whichever tied point
-    is picked, and only that point gets the gradient. Non-finite points raise
-    NumericalError.
+    Accepts SampleBatch (its points), Tensor, or plain (n, d) arrays. Arrays
+    become constant leaves on the first Tensor operand's tape, or on a new
+    tape when neither is a Tensor. Neighbours come from ``nearest_neighbors``:
+    at a tie the value is the same whichever tied point is picked, and only
+    that point gets the gradient. Non-finite points raise NumericalError.
     """
-    tape = None
-    for obj in (pred, target):
-        inner = obj.points if isinstance(obj, SampleBatch) else obj
-        if isinstance(inner, Tensor):
-            tape = inner.tape
-            break
-    a = _as_point_tensor(pred, tape)
-    b = _as_point_tensor(target, a.tape)
-    fwd, _ = nearest_sqdist(a, b)
-    rev, _ = nearest_sqdist(b, a)
-    return reduce_sum(fwd) + reduce_sum(rev)
+    ops = [obj.points if isinstance(obj, SampleBatch) else obj for obj in (pred, target)]
+    tape = next((op.tape for op in ops if isinstance(op, Tensor)), None)
+    tape = Tape() if tape is None else tape
+    a, b = (op if isinstance(op, Tensor) else tape.leaf(op) for op in ops)
+    return reduce_sum(nearest_sqdist(a, b)) + reduce_sum(nearest_sqdist(b, a))
 
 
 def laplacian_loss(before: Tensor, after: Tensor, edges: np.ndarray) -> Tensor:
@@ -162,8 +145,6 @@ def laplacian_loss(before: Tensor, after: Tensor, edges: np.ndarray) -> Tensor:
     Isolated vertices contribute nothing (their coordinate is undefined).
     The operator L = I - mean is one sparse matrix applied to after - before.
     """
-    if before.shape != after.shape:
-        raise DimensionError(f"topology mismatch: {before.shape} vs {after.shape}")
     n = before.shape[0]
     mean = adjacency_csr(n, edges)  # row p: 1/|N(p)| on p's neighbors
     deg = np.diff(mean.indptr)

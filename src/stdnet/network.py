@@ -114,8 +114,6 @@ class TagcnLayer:
                  use_bias: bool = True, relu: bool = True,
                  rng: np.random.Generator | None = None,
                  name: str = "layer", alloc=np.zeros):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         self.hops = hops
         self.relu = relu
         self.name = name
@@ -142,10 +140,6 @@ class TagcnLayer:
     def apply(self, x: Tensor, adj: AdjacencyOperator | None,
               bound: dict[str, Tensor], skip: Tensor | None = None) -> Tensor:
         """The layer's output, plus ``skip`` (a shortcut) when one is given."""
-        if x.shape[1] != self.in_channels:
-            raise DimensionError(
-                f"{self.name}: expected {self.in_channels} input channels, "
-                f"got feature shape {x.shape}")
         weights = [bound[f"{self.name}.W{k}"] for k in range(self.hops + 1)]
         bias = bound[f"{self.name}.bias"] if self.bias is not None else None
         operators = (None, None) if adj is None else (adj.csr, adj.csr_t)
@@ -422,7 +416,7 @@ def load_checkpoint(path) -> DeformationNetwork:
             config = config_from_dict(NetworkConfig, header["config"])
             entries = [(e["name"], tuple(e["shape"])) for e in header["params"]]
             expected = 8 * config.parameter_count()
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise DataFormatError(f"bad checkpoint header: {exc}") from exc
         payload = size - fh.tell()
         if payload != expected:

@@ -60,7 +60,7 @@ class TrainConfig(ArchitectureConfig):
     def from_json(cls, text: str) -> "TrainConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DataFormatError(f"invalid config JSON: {exc}") from exc
         return config_from_dict(cls, data)
 
@@ -151,8 +151,6 @@ class TrainResult:
 def _prepare(net: DeformationNetwork, dataset: list[DatasetPair]) -> list[PreparedPair]:
     prepared = []
     for pair in dataset:
-        if pair.target.n_faces == 0:
-            raise EmptyInputError(f"pair {pair.identifier!r} has an empty target")
         parts = pair.source_meshes()
         prepared.append(PreparedPair(parts, [net.plan(m) for m in parts], pair.target))
     return prepared

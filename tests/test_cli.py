@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import asdict
@@ -16,8 +17,9 @@ from stdnet.errors import DataFormatError
 from stdnet.fixtures import make_fixtures
 from stdnet.mesh import TriangleMesh, format_obj, read_obj, write_obj
 from stdnet.metrics import MAX_RESOLUTION
-from stdnet.network import DeformationNetwork, network_forward, save_checkpoint
-from stdnet.train import TrainConfig
+from stdnet.network import (CHECKPOINT_MAGIC, DeformationNetwork, network_forward,
+                            save_checkpoint)
+from stdnet.train import CURVE_HEADER, TrainConfig
 
 
 @pytest.fixture
@@ -36,11 +38,12 @@ def small_checkpoint(tmp_path):
     return path
 
 
-def run_stdnet(*args, code="from stdnet.cli import entry; entry()"):
-    """Run ``code`` with ``args`` in a fresh interpreter; (exit code, stderr)."""
+def run_stdnet(*args, code="from stdnet.cli import entry; entry()", env=()):
+    """Run ``code`` with ``args`` in a fresh interpreter, ``env`` added to its
+    environment; (exit code, stderr)."""
     src = str(Path(stdnet.__file__).parent.parent)
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
-           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", ""), **dict(env)}
     out = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          capture_output=True, text=True, timeout=300)
     return out.returncode, out.stderr
@@ -236,6 +239,11 @@ def deep_box_json(depth):
     """Box-tree JSON text with ``depth`` nested levels of one child each."""
     box = '"center": [0, 0, 0], "axes": [1, 0, 0, 0, 1, 0, 0, 0, 1], "extents": [1, 1, 1]'
     return ('{' + box + ', "children": [') * depth + '{' + box + '}' + ']}' * depth
+
+
+def nested_json(depth):
+    """``depth`` nested JSON arrays, built by repetition: no recursion at any depth."""
+    return "[" * depth + "]" * depth
 
 
 class TestTrainDeformEval:
@@ -490,6 +498,28 @@ class TestTrainDeformEval:
                      "--quiet"]) == 2
         assert capsys.readouterr().err.count("box tree nested too deeply") == 3
 
+    def test_deeply_nested_train_config_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"lr": ' + nested_json(200_000) + "}")
+        assert main(["train", "cube-to-sphere", "--out", str(tmp_path / "run"),
+                     "--config", str(cfg), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stdnet: error: invalid config JSON") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["deform", "eval"])
+    def test_deeply_nested_header_config_is_data_error(self, tmp_path, unit_cube_json, capsys,
+                                                       command):
+        header = ('{"config": ' + nested_json(200_000) + ', "params": []}').encode("ascii")
+        checkpoint = tmp_path / "net.stdn"
+        checkpoint.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little") + header)
+        source = str(unit_cube_json) if command == "deform" else "cube-to-sphere"
+        assert main([command, str(checkpoint), source, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stdnet: error: bad checkpoint header") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_eval_bad_checkpoint_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.stdn"
         bad.write_bytes(b"NOTMAGIC")
@@ -497,6 +527,39 @@ class TestTrainDeformEval:
         main(["fixtures", "cube-to-sphere", "--out", str(fx), "--quiet"])
         assert main(["eval", str(bad), str(fx), "--out", str(tmp_path / "m"),
                      "--quiet"]) == 2
+
+
+def numpy_blas_name() -> str:
+    """The BLAS numpy was built against; '' where numpy cannot say (before 1.25)."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                    or "openblas" not in numpy_blas_name().lower(),
+                    reason="OPENBLAS_CORETYPE selects OpenBLAS kernels on x86-64 only")
+def test_training_curve_agrees_across_blas_kernels(tmp_path, monkeypatch):
+    # A seed fixes the bytes for one BLAS kernel only: another kernel rounds
+    # the products differently. The drift must stay below a relative 1e-9,
+    # which the benchmark's reference tolerances assume. Nehalem is the
+    # oldest x86-64 kernel OpenBLAS ships, so every x86-64 CPU can run it.
+    monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"iterations": 3, "eval_every": 3}))
+    curves = []
+    for i, kernel in enumerate(({}, {"OPENBLAS_CORETYPE": "Nehalem"})):
+        out = tmp_path / f"run{i}"
+        code, err = run_stdnet("train", "cube-to-sphere", "--seed", "3", "--config", str(cfg),
+                               "--out", str(out), "--quiet", env=kernel)
+        assert code == 0, err
+        curves.append((out / "curve.csv").read_text().splitlines())
+    default, nehalem = curves
+    assert len(default) == len(nehalem) == 5 and default[0] == nehalem[0] == CURVE_HEADER
+    for row, other in zip(default[1:], nehalem[1:]):
+        for a, b in zip(row.split(","), other.split(","), strict=True):
+            assert (a == b == "") or float(a) == pytest.approx(float(b), rel=1e-9, abs=0)
 
 
 class TestGradcheckCommand:

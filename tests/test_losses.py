@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from stdnet import (DegenerateMeshError, EmptyInputError, LossReport, ObbNode,
+from stdnet import (DegenerateMeshError, DimensionError, EmptyInputError, LossReport, ObbNode,
                     Tape, chamfer_loss, edge_loss, gradcheck, laplacian_loss,
                     mesh_cuboid, sample_surface, total_loss)
 from stdnet.autodiff import sparse_matmul
@@ -169,6 +169,15 @@ class TestChamfer:
             [rng.normal(size=(8, 3)), rng.normal(size=(6, 3))], tol=1e-5)
         assert report.passed, str(report)
 
+    def test_array_operand_joins_the_tensor_operand_tape(self):
+        rng = np.random.default_rng(13)
+        tape = Tape()
+        target = tape.leaf(rng.normal(size=(5, 3)), requires_grad=True)
+        loss = chamfer_loss(rng.normal(size=(4, 3)), target)
+        assert loss.tape is tape
+        loss.backward()
+        assert target.grad.shape == (5, 3) and np.abs(target.grad).sum() > 0
+
 
 def product_form_nearest(a, b):
     """The product-form search ``nearest_neighbors`` replaced: lowest index at ties."""
@@ -271,6 +280,12 @@ class TestLaplacian:
         after[2] = (9, 9, 9)  # isolated vertex moves; must not contribute
         t = Tape()
         assert laplacian_loss(t.leaf(before), t.leaf(after), edges).item() == 0.0
+
+    def test_topology_mismatch_raises(self):
+        edges = np.array([[0, 1], [1, 2]])
+        t = Tape()
+        with pytest.raises(DimensionError):
+            laplacian_loss(t.leaf(np.zeros((3, 3))), t.leaf(np.zeros((4, 3))), edges)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(12)

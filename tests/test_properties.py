@@ -1,6 +1,7 @@
 """Property-based tests of the file parsers, the config size rule, the
 OBJ, box-tree and checkpoint round trips, the gradients of the graph ops,
-the CLI on corrupted input files, and the subdivision counting law.
+layer permutation equivariance, the CLI on corrupted input files, and the
+subdivision counting law.
 
 Each property runs a fixed, derandomized set of examples, so a failure
 reproduces on every run; no example database is written.
@@ -23,7 +24,7 @@ from stdnet.errors import DataFormatError, StdnetError
 from stdnet.fixtures import icosphere
 from stdnet.mesh import (NORMALIZATION_MODES, AdjacencyOperator, TriangleMesh, format_obj,
                          midpoint_subdivide, parse_obj, write_obj)
-from stdnet.network import (DeformationNetwork, NetworkConfig, config_from_dict,
+from stdnet.network import (DeformationNetwork, NetworkConfig, TagcnLayer, config_from_dict,
                             load_checkpoint, save_checkpoint)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -213,6 +214,36 @@ def test_tagcn_gradients_match_central_differences(box, subdivisions, mode, hops
 
     report = gradcheck(loss, params, tol=1e-6)
     assert report.passed, report
+
+
+@settings(PROPERTY, max_examples=60)
+@given(valid_boxes(), st.integers(0, 1), st.sampled_from(NORMALIZATION_MODES),
+       st.integers(0, 3), st.integers(1, 4), st.integers(1, 4), st.booleans(), st.booleans(),
+       st.booleans(), st.integers(0, 2 ** 32))
+def test_layer_commutes_with_vertex_permutation(box, subdivisions, mode, hops, c_in, c_out,
+                                                relu, use_bias, use_skip, seed):
+    # apply(P x, P A P^T) = P apply(x, A), to 1e-12 relative to the output's
+    # scale, not bit for bit: OpenBLAS rounds a row by its position.
+    mesh = mesh_cuboid(box, subdivisions)
+    rng = np.random.default_rng(seed)
+    layer = TagcnLayer(c_in, c_out, hops=hops, use_bias=use_bias, relu=relu, rng=rng)
+    if use_bias:
+        layer.bias[...] = rng.normal(size=layer.bias.shape)  # zero-initialized otherwise
+    x = rng.normal(size=(mesh.n_vertices, c_in))
+    skip = rng.normal(size=(mesh.n_vertices, c_out)) if use_skip else None
+    perm = rng.permutation(mesh.n_vertices)
+    relabelled = TriangleMesh(mesh.vertices[perm], np.argsort(perm)[mesh.faces])
+
+    def apply(m, x, skip):
+        adj = (AdjacencyOperator.from_edges(m.n_vertices, m.edges, hops=hops, mode=mode)
+               if hops else None)
+        tape = Tape()
+        return layer.apply(tape.leaf(x), adj, layer.bind(tape),
+                           None if skip is None else tape.leaf(skip)).value
+
+    out = apply(mesh, x, skip)
+    moved = apply(relabelled, x[perm], None if skip is None else skip[perm])
+    assert np.abs(moved - out[perm]).max() <= 1e-12 * max(1.0, np.abs(out).max())
 
 
 @settings(PROPERTY, max_examples=60)

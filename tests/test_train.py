@@ -9,8 +9,8 @@ from stdnet import (Adam, DeformationNetwork, EmptyInputError, NumericalError,
                     TrainConfig, make_fixtures, midpoint_subdivide,
                     network_forward, train)
 from stdnet.errors import DataFormatError
-from stdnet.fixtures import FIXTURE_KINDS, icosphere
-from stdnet.mesh import format_obj
+from stdnet.fixtures import FIXTURE_KINDS, DatasetPair, icosphere
+from stdnet.mesh import TriangleMesh, format_obj
 from stdnet.train import CURVE_HEADER
 
 
@@ -210,6 +210,12 @@ class TestFixtures:
         a = make_fixtures("box-to-ellipsoid", seed=1)[0]
         b = make_fixtures("box-to-ellipsoid", seed=2)[0]
         assert not np.array_equal(a.target.vertices, b.target.vertices)
+
+    def test_pair_with_an_empty_target_rejected(self):
+        (pair,) = make_fixtures("cube-to-sphere")
+        empty = TriangleMesh(pair.target.vertices, np.zeros((0, 3), dtype=np.int64))
+        with pytest.raises(EmptyInputError, match="pair 'hollow' has an empty target"):
+            DatasetPair("hollow", pair.source, empty)
 
     def test_icosphere_subdivision_counts(self):
         assert icosphere(0).n_vertices == 12
