@@ -205,6 +205,16 @@ def concat_rows(tensors) -> Tensor:
     return tape.record(value, tuple(tensors), vjp, "concat_rows")
 
 
+def relu_inplace(out: np.ndarray) -> None:
+    """Write ``np.where(out > 0, out, 0.0)`` into ``out``, bit for bit.
+
+    ``fmax`` maps NaN, -inf and every negative to 0 (a -0.0 may stay), and
+    adding +0.0 turns -0.0 into +0.0 while leaving every x > 0 exact.
+    """
+    np.fmax(out, 0.0, out=out)
+    out += 0.0
+
+
 def tagcn(x: Tensor, weights: "list[Tensor]", bias: "Tensor | None" = None,
           a=None, a_t=None, relu: bool = False, skip: "Tensor | None" = None) -> Tensor:
     """One TAGCN layer, relu?(sum_k A^k x W_k + bias) + skip, as one tape node.
@@ -234,9 +244,7 @@ def tagcn(x: Tensor, weights: "list[Tensor]", bias: "Tensor | None" = None,
         out += bias.value
     mask = out > 0.0 if relu else None
     if relu:
-        # np.where(mask, out, 0.0) in place: freeing a V x C buffer per layer
-        # lets malloc trim the heap, and the pages fault back in next layer.
-        np.copyto(out, 0.0, where=~mask)
+        relu_inplace(out)
     if skip is not None:
         if skip.shape != out.shape:
             raise DimensionError(f"skip shape {skip.shape} != {out.shape}")

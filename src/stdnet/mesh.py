@@ -215,8 +215,8 @@ def build_adjacency(mesh: TriangleMesh, hops: int = 2, mode: str = "sym") -> Adj
 
 def format_obj(mesh: TriangleMesh) -> str:
     """ASCII OBJ text with 9-significant-digit coordinates and 1-based faces."""
-    lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices]
-    lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.faces]
+    lines = [f"v {x:.9g} {y:.9g} {z:.9g}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.faces.tolist()]
     return "\n".join(lines) + "\n"
 
 

@@ -275,20 +275,8 @@ class DeformationNetwork:
         return out
 
     def state(self) -> dict[str, np.ndarray]:
-        # One copy per parameter, not one of the arena: a snapshot taken in
-        # training then reuses heap space the forward pass freed, where a
-        # single arena-sized copy is a fresh mapping on top of it (+30 MB
-        # peak RSS on a twice-subdivided cube).
+        """A copy of every parameter by name, apart from the arena."""
         return {name: arr.copy() for name, arr in self.parameters().items()}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        params = self.parameters()
-        if set(state) != set(params):
-            raise ValueError("state parameter names do not match the architecture")
-        for name, arr in params.items():
-            if state[name].shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}")
-        np.concatenate([state[name].reshape(-1) for name in params], out=self.arena)
 
     def bind(self, tape: Tape) -> dict[str, Tensor]:
         return {name: tape.leaf(arr, requires_grad=True)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -18,6 +20,40 @@ from .network import (ArchitectureConfig, DeformationNetwork, ForwardPlan, Netwo
 
 CURVE_HEADER = "iteration,l_cd,l_lap,l_edge,L_all,val_cd"
 _VAL_STREAM = 2  # train draws use seed stream 1, validation stream 2
+# glibc's <malloc.h> parameter numbers, and the values set_allocator_policy gives them.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 2 ** 31 - 1  # the largest value mallopt takes: never trim the heap
+_MMAP_THRESHOLD = 32 << 20  # the largest glibc allows on 64-bit
+
+
+def _glibc_mallopt():
+    """glibc's ``mallopt``, or None under any other C library."""
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return None
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
+def set_allocator_policy() -> bool:
+    """Keep freed heap memory in the process, so buffers freed on every step
+    are reused without page faults; returns whether the policy is now set.
+
+    Sets glibc's ``M_TRIM_THRESHOLD`` so that the heap is never trimmed, and
+    fixes ``M_MMAP_THRESHOLD`` at 32 MiB, which also stops glibc from moving
+    either threshold on its own (mallopt(3)). Only blocks above 32 MiB, such
+    as the parameter arena, are mapped apart and returned when freed. The
+    policy is process-wide, so it is set only from the main thread, and
+    nothing is done without glibc. Setting it again changes nothing.
+    """
+    mallopt = _glibc_mallopt()
+    if mallopt is None or threading.current_thread() is not threading.main_thread():
+        return False
+    return bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+                and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD))
 
 
 @dataclass
@@ -170,6 +206,36 @@ def _validation_chamfer(net: DeformationNetwork, prepared: list[PreparedPair],
     return float(np.mean(values))
 
 
+def _step(net: DeformationNetwork, prepared: list[PreparedPair], optimizer: Adam,
+          config: TrainConfig, it: int) -> tuple[float, float, float, float]:
+    """Forward, loss, backward and one Adam step; returns l_cd, l_lap, l_edge, L_all.
+
+    The tape, the weight leaves, their gradients and the loss graph are locals
+    here, so they are freed on return, before validation runs.
+    """
+    rng = np.random.default_rng([config.seed, 1, it])
+    tape = Tape()
+    bound = net.bind(tape)
+    loss = None
+    cd = lap = edge = 0.0
+    for prep in prepared:
+        blocks = net.forward_parts(tape, prep.parts, plans=prep.plans, bound=bound)
+        target = sample_surface(prep.target.vertices, prep.target.faces, config.samples, rng)
+        pair_loss, report = total_loss(
+            blocks, target, config.samples, rng,
+            lambda_lap=config.lambda_lap, lambda_edge=config.lambda_edge)
+        loss = pair_loss if loss is None else loss + pair_loss
+        cd += report.l_cd
+        lap += report.l_lap
+        edge += report.l_edge
+    total = loss.item()
+    if not np.isfinite(total):
+        raise NumericalError(f"non-finite loss at iteration {it}")
+    loss.backward()
+    optimizer.step({name: t.grad for name, t in bound.items()})
+    return cd, lap, edge, total
+
+
 def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConfig,
           out_dir=None, log=None) -> TrainResult:
     """Optimize ``net`` in place; keeps the best-by-validation parameters.
@@ -181,7 +247,11 @@ def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConf
     restored into the network (and written to ``out_dir``) at the end. A
     non-finite loss, gradient or validation chamfer aborts with the best
     checkpoint retained.
+
+    It first calls ``set_allocator_policy()``, which is process-wide: the
+    policy stays set after ``train`` returns.
     """
+    set_allocator_policy()
     config.validate()
     if not dataset:
         raise EmptyInputError("training needs a non-empty dataset")
@@ -198,13 +268,13 @@ def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConf
     initial_val = _validation_chamfer(net, prepared, config)
     if not np.isfinite(initial_val):
         raise NumericalError("non-finite validation chamfer before training")
-    best_val, best_iteration, best_state = initial_val, 0, net.state()
+    best_val, best_iteration, best = initial_val, 0, net.arena.copy()
     rows = [(0, "", "", "", "", repr(initial_val))]
     if log:
         log(f"iteration 0: val_cd={initial_val:.6g}")
 
     def finish(aborted=False):
-        net.load_state(best_state)
+        np.copyto(net.arena, best)
         if checkpoint_path:
             save_checkpoint(checkpoint_path, net)
         if curve_path:
@@ -213,30 +283,8 @@ def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConf
             log(f"best val_cd={best_val:.6g} at iteration {best_iteration}")
 
     for it in range(1, config.iterations + 1):
-        rng = np.random.default_rng([config.seed, 1, it])
-        tape = Tape()
-        bound = net.bind(tape)
         try:
-            loss = None
-            cd = lap = edge = 0.0
-            for prep in prepared:
-                blocks = net.forward_parts(tape, prep.parts, plans=prep.plans,
-                                           bound=bound)
-                target = sample_surface(prep.target.vertices, prep.target.faces,
-                                        config.samples, rng)
-                pair_loss, report = total_loss(
-                    blocks, target, config.samples, rng,
-                    lambda_lap=config.lambda_lap, lambda_edge=config.lambda_edge)
-                loss = pair_loss if loss is None else loss + pair_loss
-                cd += report.l_cd
-                lap += report.l_lap
-                edge += report.l_edge
-            total = loss.item()
-            if not np.isfinite(total):
-                raise NumericalError(f"non-finite loss at iteration {it}")
-            loss.backward()
-            optimizer.step({name: t.grad for name, t in bound.items()})
-
+            cd, lap, edge, total = _step(net, prepared, optimizer, config, it)
             val_repr = ""
             if it % config.eval_every == 0 or it == config.iterations:
                 val = _validation_chamfer(net, prepared, config)
@@ -244,7 +292,8 @@ def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConf
                     raise NumericalError(f"non-finite validation chamfer at iteration {it}")
                 val_repr = repr(val)
                 if val < best_val:
-                    best_val, best_iteration, best_state = val, it, net.state()
+                    best_val, best_iteration = val, it
+                    np.copyto(best, net.arena)
                 if log:
                     log(f"iteration {it}: L_all={total:.6g} val_cd={val:.6g}")
         except NumericalError:

@@ -442,6 +442,15 @@ class TestObjIO:
         with pytest.raises(DataFormatError):
             parse_obj(f"v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 {2 ** 64}\n")
 
+    def test_exact_text_of_edge_coordinates(self):
+        # -0.0 keeps its sign, a subnormal and 1e300 print in exponent form
+        mesh = TriangleMesh([[-0.0, 5e-324, 1e300], [0.1, 1.0, -4.5], [2.0, 0.0, 1e-7]],
+                            [[0, 1, 2]])
+        assert format_obj(mesh) == ("v -0 4.94065646e-324 1e+300\n"
+                                    "v 0.1 1 -4.5\n"
+                                    "v 2 0 1e-07\n"
+                                    "f 1 2 3\n")
+
     def test_never_emits_other_directives(self):
         text = format_obj(mesh_cuboid(unit_cube()))
         kinds = {line.split()[0] for line in text.strip().splitlines()}

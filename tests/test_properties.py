@@ -1,7 +1,7 @@
 """Property-based tests of the file parsers, the config size rule, the
 OBJ, box-tree and checkpoint round trips, the gradients of the graph ops,
-layer permutation equivariance, the CLI on corrupted input files, and the
-subdivision counting law.
+the in-place relu, layer permutation equivariance, the CLI on corrupted
+input files, and the subdivision counting law.
 
 Each property runs a fixed, derandomized set of examples, so a failure
 reproduces on every run; no example database is written.
@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stdnet.autodiff import Tape, gradcheck, sparse_matmul, tagcn
+from stdnet.autodiff import Tape, gradcheck, relu_inplace, sparse_matmul, tagcn
 from stdnet.boxes import (ObbNode, load_structure, mesh_cuboid, save_structure,
                           structure_from_dict)
 from stdnet.cli import main
@@ -244,6 +244,21 @@ def test_layer_commutes_with_vertex_permutation(box, subdivisions, mode, hops, c
     out = apply(mesh, x, skip)
     moved = apply(relabelled, x[perm], None if skip is None else skip[perm])
     assert np.abs(moved - out[perm]).max() <= 1e-12 * max(1.0, np.abs(out).max())
+
+
+# NaN of either sign, the infinities, both zeros, subnormals of either sign
+# and the smallest normal.
+RELU_EDGES = st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324,
+                              2.2e-308, -2.2e-308, 2.2250738585072014e-308])
+
+
+@PROPERTY
+@given(st.lists(st.floats() | RELU_EDGES, min_size=1, max_size=70), st.integers(1, 3))
+def test_relu_inplace_matches_where_byte_for_byte(values, columns):
+    x = np.resize(np.array(values), (-(-len(values) // columns), columns))
+    out = x.copy()
+    relu_inplace(out)
+    assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
 
 
 @settings(PROPERTY, max_examples=60)

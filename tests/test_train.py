@@ -1,5 +1,7 @@
 import json
 import sys
+import threading
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -11,7 +13,7 @@ from stdnet import (Adam, DeformationNetwork, EmptyInputError, NumericalError,
 from stdnet.errors import DataFormatError
 from stdnet.fixtures import FIXTURE_KINDS, DatasetPair, icosphere
 from stdnet.mesh import TriangleMesh, format_obj
-from stdnet.train import CURVE_HEADER
+from stdnet.train import CURVE_HEADER, set_allocator_policy
 
 
 def tiny_config(**overrides):
@@ -318,6 +320,38 @@ class TestTrain:
         curve = (tmp_path / "curve.csv").read_text().splitlines()
         assert len(curve) == 3  # header, row 0 and iteration 1
 
+    def test_finished_step_is_freed_before_validation(self, monkeypatch):
+        # the loss graph and weight leaves of the step just taken must be
+        # unreachable while validation runs
+        train_module = sys.modules["stdnet.train"]
+        (pair,) = make_fixtures("cube-to-sphere")
+        cfg = tiny_config(iterations=4, eval_every=2)
+        net = DeformationNetwork(cfg.network_config())
+        bind, loss_fn = net.bind, train_module.total_loss
+        validation = train_module._validation_chamfer
+        refs, seen = [], []
+
+        def recording_bind(tape):
+            bound = bind(tape)
+            refs.extend(weakref.ref(t) for t in bound.values())
+            return bound
+
+        def recording_loss(*args, **kwargs):
+            loss, report = loss_fn(*args, **kwargs)
+            refs.append(weakref.ref(loss))
+            return loss, report
+
+        def checking_validation(*args):
+            seen.append([r() is None for r in refs])
+            return validation(*args)
+
+        monkeypatch.setattr(net, "bind", recording_bind)
+        monkeypatch.setattr(train_module, "total_loss", recording_loss)
+        monkeypatch.setattr(train_module, "_validation_chamfer", checking_validation)
+        train(net, [pair], cfg)
+        assert len(seen) == 3 and seen[0] == []  # before training, then iterations 2 and 4
+        assert all(seen[1]) and all(seen[2]) and len(seen[2]) > len(seen[1])
+
     def test_non_finite_initial_validation_rejected(self, monkeypatch):
         train_module = sys.modules["stdnet.train"]
         (pair,) = make_fixtures("cube-to-sphere")
@@ -353,3 +387,34 @@ class TestTrain:
             return np.linalg.norm(d, axis=1).mean()
 
         assert mean_edge_length(1.0) < mean_edge_length(0.1)
+
+
+class TestAllocatorPolicy:
+    def test_does_nothing_off_the_main_thread(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(sys.modules["stdnet.train"], "_glibc_mallopt",
+                            lambda: lambda *args: calls.append(args) or 1)
+        results = []
+        worker = threading.Thread(target=lambda: results.append(set_allocator_policy()))
+        worker.start()
+        worker.join()
+        assert results == [False] and calls == []
+        assert set_allocator_policy() is True and len(calls) == 2
+
+    def test_does_nothing_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["stdnet.train"], "_glibc_mallopt", lambda: None)
+        assert set_allocator_policy() is False
+
+    def test_a_refused_setting_is_reported(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["stdnet.train"], "_glibc_mallopt",
+                            lambda: lambda *args: 0)
+        assert set_allocator_policy() is False
+
+    def test_setting_twice_is_harmless(self):
+        expected = sys.modules["stdnet.train"]._glibc_mallopt() is not None
+        assert set_allocator_policy() is expected
+        assert set_allocator_policy() is expected
+        (pair,) = make_fixtures("cube-to-sphere")
+        cfg = tiny_config(iterations=2)
+        result = train(DeformationNetwork(cfg.network_config()), [pair], cfg)
+        assert len(result.rows) == 3
