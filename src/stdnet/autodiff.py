@@ -34,7 +34,9 @@ class Tape:
     The record keeps only weak references: a node is owned by whoever uses
     it (each tensor strongly holds its inputs), so dropping a result frees
     the whole subgraph behind it without waiting for the cycle collector.
-    Nodes reachable from a live loss are always alive.
+    Nodes reachable from a live loss stay alive until ``backward`` sweeps
+    them; the sweep drops each node's inputs, so after it only the nodes a
+    caller still holds remain.
     """
 
     def __init__(self):
@@ -57,6 +59,9 @@ class Tape:
         node = Tensor(self, len(self._nodes), value, requires_grad, inputs, vjp, op)
         self._nodes.append(weakref.ref(node))
         return node
+
+
+_SWEPT = object()  # stands in for the vjp of a node that backward() has swept
 
 
 class Tensor:
@@ -85,38 +90,49 @@ class Tensor:
         return float(self.value[0, 0])
 
     def backward(self) -> None:
-        """Populate .grad on every gradient-requiring node reachable from here.
+        """Populate .grad on every gradient-requiring leaf, then free the graph.
 
         The loss must be scalar. Gradients from multiple uses of a node are
         summed; requires-gradient leaves recorded before the loss but never
-        reached get a zero gradient, while nodes recorded after it keep None.
+        reached get a zero gradient, while leaves recorded after it keep None.
+        Only leaves (nodes with no vjp, as ``Tape.leaf`` makes them) keep a
+        gradient: an intermediate's dies once its own vjp has used it, and the
+        sweep then drops the node's vjp and inputs, so the state they hold is
+        freed as the sweep moves upstream. A graph is swept once; a later
+        backward that reaches a swept node raises RuntimeError.
         """
         if self.shape != (1, 1):
             raise DimensionError(f"backward() needs a scalar loss, got shape {self.shape}")
-        grads: list = [None] * (self.node_id + 1)
-        grads[self.node_id] = np.ones((1, 1))
+        # node_id -> (node, gradient). The tape holds nodes only weakly, so a
+        # node whose consumers are swept lives on through its pending entry.
+        pending = {self.node_id: (self, np.ones((1, 1)))}
         for node_id in range(self.node_id, -1, -1):
-            node = self.tape.node(node_id)
-            gout = grads[node_id]
+            node, gout = pending.pop(node_id, None) or (self.tape.node(node_id), None)
             if node is None:
                 continue  # unreferenced node; it cannot feed this loss
-            if node.requires_grad:
-                node.grad = gout if gout is not None else np.zeros(node.shape)
-            if gout is None or node._vjp is None:
+            if node._vjp is None:  # a leaf
+                if node.requires_grad:
+                    node.grad = gout if gout is not None else np.zeros(node.shape)
                 continue
+            if gout is None:
+                continue  # an op this loss does not reach
+            if node._vjp is _SWEPT:
+                raise RuntimeError(
+                    f"backward() reached {node.op!r} node {node_id}, whose graph an "
+                    "earlier backward() already freed; build a new graph per backward")
             for tin, gin in zip(node._inputs, node._vjp(gout)):
                 if gin is None or not tin.requires_grad:
                     continue
-                slot = grads[tin.node_id]
-                if slot is None:
+                entry = pending.get(tin.node_id)
+                if entry is None:
                     # Copy when the vjp handed back a view or the upstream
-                    # buffer itself; accumulation mutates the slot in place.
+                    # buffer itself; accumulation mutates the entry in place.
                     if gin.base is not None or gin is gout:
                         gin = gin.copy()
-                    grads[tin.node_id] = gin
+                    pending[tin.node_id] = (tin, gin)
                 else:
-                    slot += gin
-            grads[node_id] = None  # release buffers as the sweep passes
+                    np.add(entry[1], gin, out=entry[1])
+            node._inputs, node._vjp = (), _SWEPT
 
     # Operator sugar; scalar multiplication is the only number overload.
     def __add__(self, other):
@@ -222,7 +238,8 @@ def tagcn(x: Tensor, weights: "list[Tensor]", bias: "Tensor | None" = None,
     ``a`` is the (sparse or dense) graph operator and ``a_t`` its transpose;
     neither is needed when there is only W_0. The hops s_k = A s_(k-1) are
     built and dropped one at a time, so no power of A and no hop signal is
-    kept. The vjp holds only x, the weights and the relu mask: with
+    kept. The vjp holds only x, the weights and the relu mask, and
+    ``backward`` releases them once its sweep has passed this node: with
     h_0 = g * mask and h_k = A^T h_(k-1), gW_k = x^T h_k and
     gx = sum_k h_k W_k^T.
     """

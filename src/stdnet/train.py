@@ -210,7 +210,8 @@ def _step(net: DeformationNetwork, prepared: list[PreparedPair], optimizer: Adam
           config: TrainConfig, it: int) -> tuple[float, float, float, float]:
     """Forward, loss, backward and one Adam step; returns l_cd, l_lap, l_edge, L_all.
 
-    The tape, the weight leaves, their gradients and the loss graph are locals
+    ``backward`` frees the loss graph as it sweeps it, leaving gradients only
+    on the weight leaves. The tape, the leaves and their gradients are locals
     here, so they are freed on return, before validation runs.
     """
     rng = np.random.default_rng([config.seed, 1, it])

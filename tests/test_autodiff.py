@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -95,6 +97,55 @@ class TestBackward:
         assert np.array_equal(picked.value, a.value[[1, 1, 2]])
         picked.sum().backward()
         assert np.array_equal(a.grad, [[0, 0], [2, 2], [1, 1]])
+
+
+class TestGraphFreeing:
+    def test_only_leaves_keep_gradients(self):
+        t = Tape()
+        x = t.leaf(np.array([[1.0, -2.0]]), requires_grad=True)
+        y = x.square()
+        loss = y.sum()
+        loss.backward()
+        assert np.array_equal(x.grad, [[2.0, -4.0]])
+        assert y.grad is None and loss.grad is None
+        assert np.array_equal(y.value, [[1.0, 4.0]])  # values outlive the sweep
+
+    def test_node_owned_only_by_its_consumer_gets_swept(self):
+        # y's only strong owner is z's input tuple, which the sweep drops
+        # before it reaches y: y must still pass its gradient on to x
+        t = Tape()
+        x = t.leaf(np.array([[2.0]]), requires_grad=True)
+        y = t.record(3.0 * x.value, (x,), lambda g: (3.0 * g,), "triple")
+        yv = y.value
+        z = t.record(yv * yv, (y,), lambda g: (2.0 * yv * g,), "square")
+        y_ref = weakref.ref(y)
+        del y
+        z.sum().backward()
+        assert np.array_equal(x.grad, [[36.0]])
+        assert y_ref() is None and t.node(1) is None
+
+    def test_second_backward_of_one_loss_raises(self):
+        t = Tape()
+        x = t.leaf(np.ones((2, 1)), requires_grad=True)
+        loss = x.square().sum()
+        loss.backward()
+        first = x.grad
+        with pytest.raises(RuntimeError, match="already freed"):
+            loss.backward()
+        assert x.grad is first
+
+    def test_loss_on_a_swept_subgraph_raises(self):
+        t = Tape()
+        x = t.leaf(np.array([[1.0], [3.0]]), requires_grad=True)
+        y = x.square()
+        y.sum().backward()
+        first = x.grad
+        with pytest.raises(RuntimeError, match="'square' node 1"):
+            (2.0 * y).sum().backward()
+        assert x.grad is first and np.array_equal(first, [[2.0], [6.0]])
+        x.sum().backward()  # leaves are never swept, so a fresh graph on them works
+        assert np.array_equal(x.grad, np.ones((2, 1)))
+
 
 class TestGradcheck:
     def test_quadratic_is_machine_exact(self):

@@ -1,17 +1,19 @@
 import json
 import sys
 import threading
+import tracemalloc
 import weakref
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from stdnet import (Adam, DeformationNetwork, EmptyInputError, NumericalError,
+from stdnet import (Adam, DeformationNetwork, EmptyInputError, NumericalError, Tape,
                     TrainConfig, make_fixtures, midpoint_subdivide,
                     network_forward, train)
 from stdnet.errors import DataFormatError
 from stdnet.fixtures import FIXTURE_KINDS, DatasetPair, icosphere
+from stdnet.losses import sample_surface, total_loss
 from stdnet.mesh import TriangleMesh, format_obj
 from stdnet.train import CURVE_HEADER, set_allocator_policy
 
@@ -387,6 +389,52 @@ class TestTrain:
             return np.linalg.norm(d, axis=1).mean()
 
         assert mean_edge_length(1.0) < mean_edge_length(0.1)
+
+
+def dense_step_loss(tape: Tape):
+    """One training step's loss on cube-to-sphere at source subdivisions 2
+    (98/386/1538 vertices per stage), built as train() builds it; only the
+    loss and the weight leaves outlive the call."""
+    (pair,) = make_fixtures("cube-to-sphere")
+    pair = replace(pair, source_subdivisions=2)
+    cfg = tiny_config(channels=32, layers_per_block=4, samples=200)
+    net = DeformationNetwork(cfg.network_config())
+    bound = net.bind(tape)
+    rng = np.random.default_rng(0)
+    blocks = net.forward_parts(tape, pair.source_meshes(), bound=bound)
+    target = sample_surface(pair.target.vertices, pair.target.faces, cfg.samples, rng)
+    loss, _ = total_loss(blocks, target, cfg.samples, rng)
+    return loss, bound
+
+
+class TestBackwardFreesTheGraph:
+    def test_backward_returns_more_memory_than_it_takes(self):
+        # the sweep frees each layer's saved input and mask as it passes, so
+        # it ends below where it started and peaks at little more than the
+        # weight gradients it leaves behind
+        tracemalloc.start()
+        try:
+            loss, bound = dense_step_loss(Tape())
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loss.backward()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        weight_grads = sum(t.grad.nbytes for t in bound.values())
+        layer = 1538 * 32 * 8  # one float64 signal of the last stage
+        assert after < before
+        assert peak - before <= weight_grads + 4 * layer
+
+    def test_only_the_loss_and_the_leaves_survive(self):
+        tape = Tape()
+        loss, bound = dense_step_loss(tape)
+        loss.backward()
+        alive = [tape.node(i) for i in range(len(tape))]
+        kept = {id(loss)} | {id(t) for t in bound.values()}
+        assert {id(n) for n in alive if n is not None} == kept
+        assert loss.grad is None
+        assert all(t.grad is not None and t.grad.shape == t.shape for t in bound.values())
 
 
 class TestAllocatorPolicy:
