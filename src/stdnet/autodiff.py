@@ -56,7 +56,11 @@ class Tape:
         (or None) per input, and ``requires_grad`` defaults to any input's."""
         if requires_grad is None:
             requires_grad = any(t.requires_grad for t in inputs)
-        node = Tensor(self, len(self._nodes), value, requires_grad, inputs, vjp, op)
+        node_id = len(self._nodes)
+        for t in inputs:
+            if t._first_reader is None:
+                t._first_reader = node_id
+        node = Tensor(self, node_id, value, requires_grad, inputs, vjp, op)
         self._nodes.append(weakref.ref(node))
         return node
 
@@ -65,10 +69,14 @@ _SWEPT = object()  # stands in for the vjp of a node that backward() has swept
 
 
 class Tensor:
-    """A (rows, cols) float64 value recorded on a Tape."""
+    """A (rows, cols) float64 value recorded on a Tape.
 
-    __slots__ = ("tape", "node_id", "value", "requires_grad", "grad", "op",
-                 "_inputs", "_vjp", "__weakref__")
+    A gradient-requiring leaf may carry a ``grad_consumer``: ``backward`` then
+    calls it once with the leaf's gradient and sets no ``.grad``.
+    """
+
+    __slots__ = ("tape", "node_id", "value", "requires_grad", "grad", "grad_consumer",
+                 "op", "_inputs", "_vjp", "_first_reader", "__weakref__")
 
     def __init__(self, tape, node_id, value, requires_grad, inputs, vjp, op):
         self.tape = tape
@@ -76,9 +84,11 @@ class Tensor:
         self.value = value
         self.requires_grad = requires_grad
         self.grad = None
+        self.grad_consumer = None
         self.op = op
         self._inputs = inputs
         self._vjp = vjp
+        self._first_reader = None  # id of the first node recorded with this one as input
 
     @property
     def shape(self) -> tuple:
@@ -90,29 +100,38 @@ class Tensor:
         return float(self.value[0, 0])
 
     def backward(self) -> None:
-        """Populate .grad on every gradient-requiring leaf, then free the graph.
+        """Deliver the gradient of every gradient-requiring leaf, then free the graph.
 
         The loss must be scalar. Gradients from multiple uses of a node are
         summed; requires-gradient leaves recorded before the loss but never
-        reached get a zero gradient, while leaves recorded after it keep None.
-        Only leaves (nodes with no vjp, as ``Tape.leaf`` makes them) keep a
-        gradient: an intermediate's dies once its own vjp has used it, and the
-        sweep then drops the node's vjp and inputs, so the state they hold is
-        freed as the sweep moves upstream. A graph is swept once; a later
-        backward that reaches a swept node raises RuntimeError.
+        reached get a zero gradient, while leaves recorded after it get none.
+        A leaf's gradient goes to its ``grad_consumer`` as soon as the sweep
+        has passed the first node that read the leaf, which is its last
+        contribution, so the consumer may overwrite the leaf's value; a leaf
+        without a consumer keeps it as ``.grad``. Only leaves (nodes with no
+        vjp, as ``Tape.leaf`` makes them) get a gradient: an intermediate's
+        dies once its own vjp has used it, and the sweep then drops the node's
+        vjp and inputs, so the state they hold is freed as the sweep moves
+        upstream. A graph is swept once; a later backward that reaches a swept
+        node raises RuntimeError.
         """
         if self.shape != (1, 1):
             raise DimensionError(f"backward() needs a scalar loss, got shape {self.shape}")
         # node_id -> (node, gradient). The tape holds nodes only weakly, so a
         # node whose consumers are swept lives on through its pending entry.
         pending = {self.node_id: (self, np.ones((1, 1)))}
+        delivered = set()  # ids of the leaves whose consumer has been called
         for node_id in range(self.node_id, -1, -1):
             node, gout = pending.pop(node_id, None) or (self.tape.node(node_id), None)
             if node is None:
                 continue  # unreferenced node; it cannot feed this loss
             if node._vjp is None:  # a leaf
-                if node.requires_grad:
-                    node.grad = gout if gout is not None else np.zeros(node.shape)
+                if node.requires_grad and node_id not in delivered:
+                    grad = gout if gout is not None else np.zeros(node.shape)
+                    if node.grad_consumer is None:
+                        node.grad = grad
+                    else:
+                        node.grad_consumer(grad)
                 continue
             if gout is None:
                 continue  # an op this loss does not reach
@@ -120,7 +139,8 @@ class Tensor:
                 raise RuntimeError(
                     f"backward() reached {node.op!r} node {node_id}, whose graph an "
                     "earlier backward() already freed; build a new graph per backward")
-            for tin, gin in zip(node._inputs, node._vjp(gout)):
+            inputs = node._inputs
+            for tin, gin in zip(inputs, node._vjp(gout)):
                 if gin is None or not tin.requires_grad:
                     continue
                 entry = pending.get(tin.node_id)
@@ -133,6 +153,12 @@ class Tensor:
                 else:
                     np.add(entry[1], gin, out=entry[1])
             node._inputs, node._vjp = (), _SWEPT
+            for tin in inputs:
+                if (tin._first_reader == node_id and tin.grad_consumer is not None
+                        and tin.requires_grad and tin.node_id not in delivered):
+                    delivered.add(tin.node_id)
+                    entry = pending.pop(tin.node_id, None)
+                    tin.grad_consumer(entry[1] if entry else np.zeros(tin.shape))
 
     # Operator sugar; scalar multiplication is the only number overload.
     def __add__(self, other):

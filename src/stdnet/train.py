@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import os
 import threading
@@ -83,6 +84,11 @@ class TrainConfig(ArchitectureConfig):
             raise ValueError("eval_every must be >= 1")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if not self.eps > 0:  # eps = 0 divides 0 by 0 on a zero gradient element
+            raise ValueError("eps must be > 0")
+        for name in ("weight_decay", "lambda_lap", "lambda_edge"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if 24 * self.samples > np.iinfo(np.intp).max:
             raise ValueError(f"{self.samples} samples of 3 float64 coordinates exceed "
                              "the largest array this platform can address")
@@ -104,9 +110,12 @@ class TrainConfig(ArchitectureConfig):
 class Adam:
     """Adam with bias correction and optional L2 weight decay folded into g.
 
-    Every step needs a gradient for every parameter. ``m`` and ``v`` are
-    views into two flat buffers, and each step updates the parameters in
-    place through one preallocated scratch buffer.
+    A step updates every parameter once. ``update(name, g)`` updates one
+    parameter, and the first update opens the step; ``step(grads)`` updates
+    the parameters in ``grads`` and closes the step, which needs every
+    parameter updated by then. ``m`` and ``v`` are views into two flat
+    buffers, and each update writes its parameter in place through one
+    preallocated scratch buffer.
     """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 3e-5,
@@ -120,40 +129,65 @@ class Adam:
         self.m = _views(np.zeros(size), params)
         self.v = _views(np.zeros(size), params)
         self._scratch = np.empty((2, max((p.size for p in params.values()), default=0)))
+        self._updated: set[str] = set()  # the parameters the open step has updated
+
+    def update(self, name: str, g: np.ndarray) -> None:
+        """Apply the open step's update to one parameter, checking ``g`` for
+        finiteness just before, while it is still in cache."""
+        self._check(name, g)
+        self._apply(name, g)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        for name, p in self.params.items():
-            g = grads.get(name)
-            if g is None:
+        """Update each parameter in ``grads``, then close the step.
+
+        Every gradient is checked, and so is that each parameter gets one
+        here or got one earlier in the step, before anything is written.
+        """
+        for name, g in grads.items():
+            self._check(name, g)
+        for name in self.params:
+            if name not in grads and name not in self._updated:
                 raise ValueError(f"no gradient for parameter {name!r}")
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter {p.shape} for {name}")
-            if not np.isfinite(g).all():
-                raise NumericalError(f"non-finite gradient for parameter {name!r}")
-        self.t += 1
-        b1, b2, wd = self.beta1, self.beta2, self.weight_decay
-        bc2 = 1.0 - b2 ** self.t
-        s1 = self.lr / (1.0 - b1 ** self.t)
-        for name, p in self.params.items():
-            g = grads[name]
-            m, v = self.m[name], self.v[name]
-            gi, tmp = (row[:p.size].reshape(p.shape) for row in self._scratch)
-            # gi = g + wd*p; m *= b1; m += (1-b1)*gi; v *= b2; v += (1-b2)*(gi*gi);
-            # p -= (m / (sqrt(v/bc2) + eps)) * s1, with the same operands in
-            # the same order and each temporary written into the scratch, so
-            # every element rounds as with one fresh array per operation.
-            np.multiply(wd, p, out=gi)
-            np.add(g, gi, out=gi)
-            m *= b1
-            m += np.multiply(1.0 - b1, gi, out=tmp)
-            v *= b2
-            v += np.multiply(1.0 - b2, np.multiply(gi, gi, out=tmp), out=tmp)
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            np.add(tmp, self.eps, out=tmp)
-            np.divide(m, tmp, out=tmp)
-            np.multiply(tmp, s1, out=tmp)
-            p -= tmp
+        for name, g in grads.items():
+            self._apply(name, g)
+        self._updated.clear()
+
+    def _check(self, name: str, g: np.ndarray) -> None:
+        p = self.params.get(name)
+        if p is None:
+            raise ValueError(f"gradient for {name!r}, which is not a parameter")
+        if name in self._updated:
+            raise ValueError(f"parameter {name!r} was already updated in this step")
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter {p.shape} for {name}")
+        if not np.isfinite(g).all():
+            raise NumericalError(f"non-finite gradient for parameter {name!r}")
+
+    def _apply(self, name: str, g: np.ndarray) -> None:
+        if not self._updated:  # the step's first update opens it
+            self.t += 1
+            self._bc2 = 1.0 - self.beta2 ** self.t
+            self._s1 = self.lr / (1.0 - self.beta1 ** self.t)
+        self._updated.add(name)
+        b1, b2 = self.beta1, self.beta2
+        p, m, v = self.params[name], self.m[name], self.v[name]
+        gi, tmp = (row[:p.size].reshape(p.shape) for row in self._scratch)
+        # gi = g + wd*p; m *= b1; m += (1-b1)*gi; v *= b2; v += (1-b2)*(gi*gi);
+        # p -= (m / (sqrt(v/bc2) + eps)) * s1, with the same operands in
+        # the same order and each temporary written into the scratch, so
+        # every element rounds as with one fresh array per operation.
+        np.multiply(self.weight_decay, p, out=gi)
+        np.add(g, gi, out=gi)
+        m *= b1
+        m += np.multiply(1.0 - b1, gi, out=tmp)
+        v *= b2
+        v += np.multiply(1.0 - b2, np.multiply(gi, gi, out=tmp), out=tmp)
+        np.divide(v, self._bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        np.add(tmp, self.eps, out=tmp)
+        np.divide(m, tmp, out=tmp)
+        np.multiply(tmp, self._s1, out=tmp)
+        p -= tmp
 
 
 def _views(flat: np.ndarray, like: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -210,13 +244,17 @@ def _step(net: DeformationNetwork, prepared: list[PreparedPair], optimizer: Adam
           config: TrainConfig, it: int) -> tuple[float, float, float, float]:
     """Forward, loss, backward and one Adam step; returns l_cd, l_lap, l_edge, L_all.
 
-    ``backward`` frees the loss graph as it sweeps it, leaving gradients only
-    on the weight leaves. The tape, the leaves and their gradients are locals
-    here, so they are freed on return, before validation runs.
+    Each weight leaf hands its gradient to ``optimizer.update``, so ``backward``
+    updates a weight as soon as its gradient is complete and no gradient
+    outlives its update; ``optimizer.step({})`` then closes the step. The
+    sweep frees the loss graph as it goes, and the tape and the leaves are
+    locals here, so they are freed on return, before validation runs.
     """
     rng = np.random.default_rng([config.seed, 1, it])
     tape = Tape()
     bound = net.bind(tape)
+    for name, leaf in bound.items():
+        leaf.grad_consumer = functools.partial(optimizer.update, name)
     loss = None
     cd = lap = edge = 0.0
     for prep in prepared:
@@ -233,7 +271,7 @@ def _step(net: DeformationNetwork, prepared: list[PreparedPair], optimizer: Adam
     if not np.isfinite(total):
         raise NumericalError(f"non-finite loss at iteration {it}")
     loss.backward()
-    optimizer.step({name: t.grad for name, t in bound.items()})
+    optimizer.step({})
     return cd, lap, edge, total
 
 
@@ -242,12 +280,12 @@ def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConf
     """Optimize ``net`` in place; keeps the best-by-validation parameters.
 
     Every iteration runs forward on all pairs (part meshes concatenated per
-    block), sums the hybrid loss over blocks and pairs, backpropagates, and
-    takes one Adam step. Validation chamfer is measured before training and
-    every ``eval_every`` iterations with fixed draws, and the best snapshot is
-    restored into the network (and written to ``out_dir``) at the end. A
-    non-finite loss, gradient or validation chamfer aborts with the best
-    checkpoint retained.
+    block), sums the hybrid loss over blocks and pairs, and backpropagates,
+    taking one Adam step inside the sweep. Validation chamfer is measured
+    before training and every ``eval_every`` iterations with fixed draws, and
+    the best snapshot is restored into the network (and written to
+    ``out_dir``) at the end. A non-finite loss, gradient or validation chamfer
+    aborts with the best checkpoint retained.
 
     It first calls ``set_allocator_policy()``, which is process-wide: the
     policy stays set after ``train`` returns.

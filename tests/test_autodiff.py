@@ -147,6 +147,71 @@ class TestGraphFreeing:
         assert np.array_equal(x.grad, np.ones((2, 1)))
 
 
+def consumer_graph(consumers):
+    """A loss on three leaves: ``a`` is read by two ops, ``b`` by none and
+    ``c`` by one. ``consumers`` maps leaf names to gradient consumers. The
+    product's vjp reads both leaf values when it runs, so a leaf value
+    overwritten before the sweep has passed it shows in the other's gradient."""
+    t = Tape()
+    leaves = {name: t.leaf(value, requires_grad=True) for name, value in
+              (("a", [[1.0, -2.0]]), ("b", [[3.0, 4.0]]), ("c", [[0.5, 2.0]]))}
+    for name, consume in consumers.items():
+        leaves[name].grad_consumer = consume
+    a, c = leaves["a"], leaves["c"]
+    product = t.record(a.value * c.value, (a, c),
+                       lambda g: (g * c.value, g * a.value), "product")
+    return product.square().sum() + a.square().sum(), leaves
+
+
+class TestGradConsumers:
+    def reference_grads(self):
+        loss, leaves = consumer_graph({})
+        loss.backward()
+        return {name: leaf.grad for name, leaf in leaves.items()}
+
+    def test_each_consumer_called_once_with_the_plain_gradient(self):
+        calls = []
+        loss, leaves = consumer_graph(
+            {name: lambda g, name=name: calls.append((name, g.tobytes())) for name in "abc"})
+        loss.backward()
+        reference = self.reference_grads()
+        assert np.array_equal(reference["b"], np.zeros((1, 2)))
+        # a and c go once the sweep passes their first reader; unreached b at its own node
+        assert calls == [(name, reference[name].tobytes()) for name in "acb"]
+        assert all(leaf.grad is None for leaf in leaves.values())
+
+    def test_consumer_fires_after_the_last_reader(self):
+        seen = []
+
+        def poison(g):
+            seen.append(g.copy())
+            leaves["a"].value[...] = np.nan
+
+        loss, leaves = consumer_graph({"a": poison})
+        loss.backward()
+        reference = self.reference_grads()
+        assert len(seen) == 1 and seen[0].tobytes() == reference["a"].tobytes()
+        assert np.isnan(leaves["a"].value).all()
+        for name in "bc":
+            assert leaves[name].grad.tobytes() == reference[name].tobytes()
+
+    def test_leaves_without_a_consumer_keep_grad(self):
+        loss, leaves = consumer_graph({"c": lambda g: None})
+        loss.backward()
+        reference = self.reference_grads()
+        assert leaves["c"].grad is None
+        for name in "ab":
+            assert np.array_equal(leaves[name].grad, reference[name])
+
+    def test_leaf_read_twice_by_one_node_is_consumed_once(self):
+        t = Tape()
+        x = t.leaf(np.ones((2, 1)), requires_grad=True)
+        calls = []
+        x.grad_consumer = calls.append
+        (x + x).sum().backward()
+        assert len(calls) == 1 and np.array_equal(calls[0], np.full((2, 1), 2.0))
+
+
 class TestGradcheck:
     def test_quadratic_is_machine_exact(self):
         report = gradcheck(lambda ts: ts[0].square().sum(),

@@ -456,7 +456,13 @@ class TestTrainDeformEval:
 
     @pytest.mark.parametrize("changes, message", [
         ({"seed": -1}, "seed must be >= 0"),
-        ({"samples": 10**20}, f"{10**20} samples of 3 float64 coordinates exceed")])
+        ({"samples": 10**20}, f"{10**20} samples of 3 float64 coordinates exceed"),
+        # eps = 0 with no weight decay used to turn the parameters NaN on a
+        # zero gradient element and exit 3 one step later
+        ({"eps": 0.0, "weight_decay": 0.0}, "eps must be > 0"),
+        ({"weight_decay": -1e-4}, "weight_decay must be >= 0"),
+        ({"lambda_lap": -0.3}, "lambda_lap must be >= 0"),
+        ({"lambda_edge": -0.1}, "lambda_edge must be >= 0")])
     def test_train_config_past_its_bound_is_data_error(self, tmp_path, capsys, changes,
                                                        message):
         cfg = small_train_config(tmp_path, **changes)

@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 import threading
@@ -15,6 +16,7 @@ from stdnet.errors import DataFormatError
 from stdnet.fixtures import FIXTURE_KINDS, DatasetPair, icosphere
 from stdnet.losses import sample_surface, total_loss
 from stdnet.mesh import TriangleMesh, format_obj
+from stdnet.network import load_checkpoint
 from stdnet.train import CURVE_HEADER, set_allocator_policy
 
 
@@ -108,6 +110,60 @@ class TestAdam:
             opt.step({"b": np.array([[0.5]])})
         assert snapshot() == before
 
+    def test_unknown_or_repeated_gradient_raises_and_changes_nothing(self):
+        rng = np.random.default_rng(6)
+        p = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=(1, 4))}
+        opt = Adam(p, lr=0.1, weight_decay=1e-2)
+        grads = {name: rng.normal(size=a.shape) for name, a in p.items()}
+        opt.update("w", grads["w"])
+
+        def snapshot():
+            return ([a.tobytes() for a in p.values()], [a.tobytes() for a in opt.m.values()],
+                    [a.tobytes() for a in opt.v.values()], opt.t)
+
+        before = snapshot()
+        with pytest.raises(ValueError, match="'extra', which is not a parameter"):
+            opt.step({"b": grads["b"], "extra": np.zeros((1, 1))})
+        with pytest.raises(ValueError, match="'extra', which is not a parameter"):
+            opt.update("extra", np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="'w' was already updated"):
+            opt.update("w", grads["w"])
+        with pytest.raises(ValueError, match="'w' was already updated"):
+            opt.step(grads)
+        assert snapshot() == before
+        opt.step({"b": grads["b"]})  # the step the update opened closes once
+        assert opt.t == 1
+
+    def test_step_closes_only_when_every_parameter_is_updated(self):
+        p = {"w": np.ones((2, 2)), "b": np.ones((1, 2))}
+        opt = Adam(p, lr=0.1)
+        opt.update("w", np.ones((2, 2)))
+        with pytest.raises(ValueError, match="no gradient for parameter 'b'"):
+            opt.step({})
+        opt.update("b", np.ones((1, 2)))
+        opt.step({})
+        assert opt.t == 1
+        opt.update("b", np.ones((1, 2)))  # a new step opens
+        assert opt.t == 2
+
+    def test_updates_then_close_equal_one_step(self):
+        rng = np.random.default_rng(12)
+        shapes = {"w": (4, 3), "b": (1, 3), "s": (1, 1)}
+        p = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        q = {name: a.copy() for name, a in p.items()}
+        by_dict = Adam(p, lr=1e-2, weight_decay=5e-3)
+        by_update = Adam(q, lr=1e-2, weight_decay=5e-3)
+        for _ in range(5):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            by_dict.step(grads)
+            for name in reversed(shapes):
+                by_update.update(name, grads[name])
+            by_update.step({})
+        for name in shapes:
+            assert p[name].tobytes() == q[name].tobytes()
+            assert by_dict.m[name].tobytes() == by_update.m[name].tobytes()
+            assert by_dict.v[name].tobytes() == by_update.v[name].tobytes()
+
     def test_bit_identical_to_per_array_reference(self):
         shapes = {"w0": (4, 6), "b0": (1, 6), "w1": (6, 3), "b1": (1, 3), "s": (1, 1)}
         rng = np.random.default_rng(11)
@@ -173,6 +229,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(iterations=-1).validate()
         TrainConfig(iterations=0).validate()  # explicit no-op is allowed
+        TrainConfig(weight_decay=0.0, lambda_lap=0.0, lambda_edge=0.0).validate()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"eps": 0.0, "weight_decay": 0.0}, "eps must be > 0"),
+        ({"eps": -1e-8}, "eps must be > 0"),
+        ({"weight_decay": -1e-4}, "weight_decay must be >= 0"),
+        ({"lambda_lap": -0.3}, "lambda_lap must be >= 0"),
+        ({"lambda_edge": -0.1}, "lambda_edge must be >= 0")])
+    def test_adam_and_loss_weights_past_their_bound_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**changes).validate()
 
 
 class TestFixtures:
@@ -322,6 +389,62 @@ class TestTrain:
         curve = (tmp_path / "curve.csv").read_text().splitlines()
         assert len(curve) == 3  # header, row 0 and iteration 1
 
+    @pytest.mark.parametrize("kind", ["cube-to-sphere", "two-box-chair", "box-to-ellipsoid"])
+    def test_updates_in_the_sweep_equal_a_step_after_it(self, kind, monkeypatch):
+        # one part, two parts and two pairs: the weights updated during
+        # backward must give the rows and bytes of a backward that leaves
+        # every gradient on its leaf followed by one Adam.step(dict)
+        train_module = sys.modules["stdnet.train"]
+        pairs = make_fixtures(kind, seed=0)
+        cfg = tiny_config(iterations=4, eval_every=2)
+
+        def run():
+            net = DeformationNetwork(cfg.network_config())
+            return train(net, pairs, cfg).rows, net.arena.tobytes()
+
+        fused = run()
+        monkeypatch.setattr(train_module, "_step", reference_step)
+        assert run() == fused
+
+    def test_non_finite_gradient_mid_sweep_aborts_with_checkpoint(self, tmp_path, monkeypatch):
+        # a NaN reaching Adam in the middle of iteration 2's sweep, after
+        # part of the network is already updated: the best snapshot must
+        # replace those writes in the arena and in the checkpoint
+        train_module = sys.modules["stdnet.train"]
+        (pair,) = make_fixtures("cube-to-sphere")
+        cfg = tiny_config(iterations=4, eval_every=1)
+        net = DeformationNetwork(cfg.network_config())
+        names = list(net.parameters())
+        poisoned = names[len(names) // 2]
+        validated, written = [], []
+        validation = train_module._validation_chamfer
+
+        def recording_validation(*args):
+            value = validation(*args)
+            validated.append((value, net.arena.copy()))
+            return value
+
+        class PoisonedAdam(Adam):
+            def update(self, name, g):
+                if self.t == 2 and name == poisoned:
+                    g[0, 0] = np.nan
+                super().update(name, g)
+                written.append((self.t, name))
+
+        monkeypatch.setattr(train_module, "_validation_chamfer", recording_validation)
+        monkeypatch.setattr(train_module, "Adam", PoisonedAdam)
+        with pytest.raises(NumericalError, match=poisoned):
+            train(net, [pair], cfg, out_dir=tmp_path)
+        assert 0 < sum(t == 2 for t, _ in written) < len(names)
+        best_val, best = validated[0]
+        for value, arena in validated[1:]:
+            if value < best_val:
+                best_val, best = value, arena
+        assert len(validated) == 2 and net.arena.tobytes() == best.tobytes()
+        assert load_checkpoint(tmp_path / "checkpoint.stdn").arena.tobytes() == best.tobytes()
+        curve = (tmp_path / "curve.csv").read_text().splitlines()
+        assert len(curve) == 3  # header, row 0 and iteration 1
+
     def test_finished_step_is_freed_before_validation(self, monkeypatch):
         # the loss graph and weight leaves of the step just taken must be
         # unreachable while validation runs
@@ -391,13 +514,37 @@ class TestTrain:
         assert mean_edge_length(1.0) < mean_edge_length(0.1)
 
 
-def dense_step_loss(tape: Tape):
-    """One training step's loss on cube-to-sphere at source subdivisions 2
-    (98/386/1538 vertices per stage), built as train() builds it; only the
-    loss and the weight leaves outlive the call."""
+def reference_step(net, prepared, optimizer, config, it):
+    """``train._step`` with a plain backward: every weight leaf keeps its
+    ``.grad`` until one ``Adam.step(dict)`` after the sweep."""
+    rng = np.random.default_rng([config.seed, 1, it])
+    tape = Tape()
+    bound = net.bind(tape)
+    loss = None
+    cd = lap = edge = 0.0
+    for prep in prepared:
+        blocks = net.forward_parts(tape, prep.parts, plans=prep.plans, bound=bound)
+        target = sample_surface(prep.target.vertices, prep.target.faces, config.samples, rng)
+        pair_loss, report = total_loss(
+            blocks, target, config.samples, rng,
+            lambda_lap=config.lambda_lap, lambda_edge=config.lambda_edge)
+        loss = pair_loss if loss is None else loss + pair_loss
+        cd += report.l_cd
+        lap += report.l_lap
+        edge += report.l_edge
+    total = loss.item()
+    loss.backward()
+    optimizer.step({name: t.grad for name, t in bound.items()})
+    return cd, lap, edge, total
+
+
+def step_loss(tape: Tape, source_subdivisions: int = 2, channels: int = 32):
+    """One training step's loss on cube-to-sphere, built as train() builds it;
+    only the loss and the weight leaves outlive the call. At source
+    subdivisions 2 the stages have 98/386/1538 vertices, at 0 8/26/98."""
     (pair,) = make_fixtures("cube-to-sphere")
-    pair = replace(pair, source_subdivisions=2)
-    cfg = tiny_config(channels=32, layers_per_block=4, samples=200)
+    pair = replace(pair, source_subdivisions=source_subdivisions)
+    cfg = tiny_config(channels=channels, layers_per_block=4, samples=200)
     net = DeformationNetwork(cfg.network_config())
     bound = net.bind(tape)
     rng = np.random.default_rng(0)
@@ -414,7 +561,7 @@ class TestBackwardFreesTheGraph:
         # weight gradients it leaves behind
         tracemalloc.start()
         try:
-            loss, bound = dense_step_loss(Tape())
+            loss, bound = step_loss(Tape())
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             loss.backward()
@@ -428,13 +575,40 @@ class TestBackwardFreesTheGraph:
 
     def test_only_the_loss_and_the_leaves_survive(self):
         tape = Tape()
-        loss, bound = dense_step_loss(tape)
+        loss, bound = step_loss(tape)
         loss.backward()
         alive = [tape.node(i) for i in range(len(tape))]
         kept = {id(loss)} | {id(t) for t in bound.values()}
         assert {id(n) for n in alive if n is not None} == kept
         assert loss.grad is None
         assert all(t.grad is not None and t.grad.shape == t.shape for t in bound.values())
+
+    def test_weight_gradients_handed_to_adam_are_never_all_held(self):
+        # at the fixture's stage sizes the weights outweigh the activations,
+        # so a sweep that keeps every .grad climbs toward the weight bytes;
+        # one that hands each gradient to Adam.update holds a layer's at most
+        def backward_peak(consume):
+            tracemalloc.start()
+            try:
+                loss, bound = step_loss(Tape(), source_subdivisions=0, channels=96)
+                optimizer = Adam({name: t.value for name, t in bound.items()})
+                if consume:
+                    for name, t in bound.items():
+                        t.grad_consumer = functools.partial(optimizer.update, name)
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                loss.backward()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if consume:
+                optimizer.step({})  # closes only if every weight was updated
+                assert optimizer.t == 1 and all(t.grad is None for t in bound.values())
+            return peak - before, sum(t.value.nbytes for t in bound.values())
+
+        consumed, weight_grads = backward_peak(True)
+        kept, _ = backward_peak(False)
+        assert consumed < weight_grads / 4 < weight_grads / 2 < kept
 
 
 class TestAllocatorPolicy:
