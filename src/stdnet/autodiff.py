@@ -36,7 +36,9 @@ class Tape:
     the whole subgraph behind it without waiting for the cycle collector.
     Nodes reachable from a live loss stay alive until ``backward`` sweeps
     them; the sweep drops each node's inputs, so after it only the nodes a
-    caller still holds remain.
+    caller still holds remain. A node that requires no gradient keeps no
+    inputs and no vjp, so a forward over constants holds only the values
+    its caller keeps.
     """
 
     def __init__(self):
@@ -53,10 +55,13 @@ class Tape:
 
     def record(self, value, inputs, vjp, op, requires_grad=None) -> "Tensor":
         """Append the node ``value = op(*inputs)``; ``vjp(g)`` returns one gradient
-        (or None) per input, and ``requires_grad`` defaults to any input's."""
+        (or None) per input, and ``requires_grad`` defaults to any input's.
+        A node that requires none is a constant: it keeps neither."""
         if requires_grad is None:
             requires_grad = any(t.requires_grad for t in inputs)
         node_id = len(self._nodes)
+        if not requires_grad:
+            inputs, vjp = (), None
         for t in inputs:
             if t._first_reader is None:
                 t._first_reader = node_id
@@ -267,12 +272,14 @@ def tagcn(x: Tensor, weights: "list[Tensor]", bias: "Tensor | None" = None,
     kept. The vjp holds only x, the weights and the relu mask, and
     ``backward`` releases them once its sweep has passed this node: with
     h_0 = g * mask and h_k = A^T h_(k-1), gW_k = x^T h_k and
-    gx = sum_k h_k W_k^T.
+    gx = sum_k h_k W_k^T. When no input requires a gradient, no mask is made
+    and the node keeps nothing.
     """
     if not weights or (len(weights) > 1 and (a is None or a_t is None)):
         raise ValueError("tagcn needs W_0, plus an operator and its transpose per further hop")
     inputs = (x, *weights) + tuple(t for t in (bias, skip) if t is not None)
     tape = _same_tape(*inputs)
+    requires_grad = any(t.requires_grad for t in inputs)
     for w in weights:
         if w.shape != weights[0].shape or x.shape[1] != w.shape[0]:
             raise DimensionError(f"tagcn mismatch: {x.shape} @ {w.shape}")
@@ -285,7 +292,7 @@ def tagcn(x: Tensor, weights: "list[Tensor]", bias: "Tensor | None" = None,
         if bias.shape != (1, out.shape[1]):
             raise DimensionError(f"bias shape {bias.shape} != (1, {out.shape[1]})")
         out += bias.value
-    mask = out > 0.0 if relu else None
+    mask = out > 0.0 if relu and requires_grad else None
     if relu:
         relu_inplace(out)
     if skip is not None:
@@ -311,7 +318,7 @@ def tagcn(x: Tensor, weights: "list[Tensor]", bias: "Tensor | None" = None,
                 grads[0] = h @ wv.T
         return grads
 
-    return tape.record(out, inputs, vjp, "tagcn")
+    return tape.record(out, inputs, vjp, "tagcn", requires_grad)
 
 
 def sparse_matmul(m, x: Tensor) -> Tensor:

@@ -11,12 +11,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import ndimage
 
-from .autodiff import Tape
 from .errors import EmptyInputError, NumericalError
 from .fixtures import DatasetPair
 from .losses import kdtree, nearest_neighbors, sample_surface
 from .mesh import TriangleMesh
-from .network import DeformationNetwork
+from .network import DeformationNetwork, network_forward, set_allocator_policy
 
 F1_SAMPLES = 2500
 # (face, cell) rows per separating-axis chunk: the temporaries stay in cache.
@@ -215,7 +214,8 @@ def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
     F1_SAMPLES points are drawn from each. Point sampling is seeded per pair,
     so repeated calls with the same seed reproduce every number. Pairs are
     evaluated in parallel, one thread per CPU the process may run on, and
-    reported in input order.
+    reported in input order. ``set_allocator_policy()`` is called first, as
+    ``train`` does, and each pair runs ``network_forward``.
     """
     if not dataset:
         raise EmptyInputError("evaluate needs a non-empty dataset")
@@ -224,9 +224,7 @@ def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
 
     def one(index: int) -> MetricReport:
         pair = dataset[index]
-        # Held until the pair is scored: freed early, its pages fault back in.
-        blocks = net.forward_parts(Tape(), pair.source_meshes())
-        pred_mesh = blocks[-1].mesh()
+        pred_mesh = network_forward(net, *pair.source_meshes())[-1]
         pred_mesh, gt_mesh = normalize_to_unit_cube([pred_mesh, pair.target])
         rng = np.random.default_rng([seed, index])
         pred_pts = sample_surface(pred_mesh.vertices, pred_mesh.faces,
@@ -240,7 +238,10 @@ def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
                             threshold, iou, resolution,
                             iou_mode="volume" if watertight else "surface")
 
-    kdtree()  # import here, not in a worker: an import mutates sys.modules
+    # Process-global steps run here, not in a worker: an import mutates
+    # sys.modules, and the allocator policy is set from the main thread only.
+    kdtree()
+    set_allocator_policy()
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -9,10 +9,12 @@ unpooled: one new vertex per edge midpoint, each face split into four.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
 import sys
+import threading
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -26,6 +28,41 @@ from .mesh import (AdjacencyOperator, NORMALIZATION_MODES, TriangleMesh, join_in
 CHECKPOINT_MAGIC = b"STDN0001"
 # The JSON values a config field of each annotated type accepts.
 _JSON_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+# glibc's <malloc.h> parameter numbers, and the values set_allocator_policy gives them.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD = 2 ** 31 - 1  # the largest value mallopt takes: never trim the heap
+_MMAP_THRESHOLD = 32 << 20  # the largest glibc allows on 64-bit
+
+
+def _glibc_mallopt():
+    """glibc's ``mallopt``, or None under any other C library."""
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return None
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
+def set_allocator_policy() -> bool:
+    """Keep freed heap memory in the process, so buffers freed on every
+    training step or forward pass are reused without page faults; returns
+    whether the policy is now set.
+
+    Sets glibc's ``M_TRIM_THRESHOLD`` so that the heap is never trimmed, and
+    fixes ``M_MMAP_THRESHOLD`` at 32 MiB, which also stops glibc from moving
+    either threshold on its own (mallopt(3)). Only blocks above 32 MiB, such
+    as the parameter arena, are mapped apart and returned when freed. The
+    policy is process-wide, so off the main thread nothing is done, and
+    nothing is done without glibc. Setting it again changes nothing.
+    """
+    mallopt = _glibc_mallopt() if threading.current_thread() is threading.main_thread() else None
+    if mallopt is None:
+        return False
+    return bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+                and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD))
 
 
 def config_from_dict(cls, data):
@@ -181,13 +218,16 @@ class DeformationBlock:
     def apply(self, vertices: Tensor, features: Tensor,
               adj: AdjacencyOperator | None,
               bound: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-        acts = [features]
+        # Layer i > every with (i - 1) % every == 0 adds the output of layer
+        # i - every, the latest such layer, so only that activation is kept.
+        every = self.residual_every
+        x, shortcut = features, None
         for i, layer in enumerate(self.layers, start=1):
-            skip = None
-            if i > self.residual_every and (i - 1) % self.residual_every == 0:
-                skip = acts[i - self.residual_every]
-            acts.append(layer.apply(acts[-1], adj, bound, skip))
-        return self.coord.apply(acts[-1], adj, bound, vertices), acts[-1]
+            adds_shortcut = i > every and (i - 1) % every == 0
+            x = layer.apply(x, adj, bound, shortcut if adds_shortcut else None)
+            if (i - 1) % every == 0:
+                shortcut = x
+        return self.coord.apply(x, adj, bound, vertices), x
 
 
 @dataclass
@@ -278,8 +318,10 @@ class DeformationNetwork:
         """A copy of every parameter by name, apart from the arena."""
         return {name: arr.copy() for name, arr in self.parameters().items()}
 
-    def bind(self, tape: Tape) -> dict[str, Tensor]:
-        return {name: tape.leaf(arr, requires_grad=True)
+    def bind(self, tape: Tape, requires_grad: bool = True) -> dict[str, Tensor]:
+        """Every parameter as a leaf on ``tape``; constants when not ``requires_grad``,
+        so a forward over them records no graph."""
+        return {name: tape.leaf(arr, requires_grad=requires_grad)
                 for name, arr in self.parameters().items()}
 
     def plan(self, mesh: TriangleMesh) -> ForwardPlan:
@@ -355,10 +397,15 @@ class DeformationNetwork:
 def network_forward(net: DeformationNetwork, *meshes: TriangleMesh) -> list[TriangleMesh]:
     """Predicted mesh of every block, for one mesh or several parts joined in order.
 
-    The read-only entry point: the tape is private to the call, so nothing
-    of the forward pass outlives it.
+    The read-only entry point. The parameters are bound as constants, so the
+    pass records no graph and keeps only the activations a shortcut still
+    needs. It first calls ``set_allocator_policy()``, which is process-wide,
+    so the freed activations are reused by the next call without page faults.
     """
-    return [out.mesh() for out in net.forward_parts(Tape(), list(meshes))]
+    set_allocator_policy()
+    tape = Tape()
+    blocks = net.forward_parts(tape, list(meshes), bound=net.bind(tape, requires_grad=False))
+    return [out.mesh() for out in blocks]
 
 
 def save_checkpoint(path, net: DeformationNetwork) -> None:

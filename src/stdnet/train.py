@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import json
 import os
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -17,44 +15,10 @@ from .fixtures import DatasetPair
 from .losses import chamfer_loss, sample_surface, total_loss
 from .mesh import TriangleMesh
 from .network import (ArchitectureConfig, DeformationNetwork, ForwardPlan, NetworkConfig,
-                      config_from_dict, save_checkpoint)
+                      config_from_dict, save_checkpoint, set_allocator_policy)
 
 CURVE_HEADER = "iteration,l_cd,l_lap,l_edge,L_all,val_cd"
 _VAL_STREAM = 2  # train draws use seed stream 1, validation stream 2
-# glibc's <malloc.h> parameter numbers, and the values set_allocator_policy gives them.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_TRIM_THRESHOLD = 2 ** 31 - 1  # the largest value mallopt takes: never trim the heap
-_MMAP_THRESHOLD = 32 << 20  # the largest glibc allows on 64-bit
-
-
-def _glibc_mallopt():
-    """glibc's ``mallopt``, or None under any other C library."""
-    try:
-        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
-            return None
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, ValueError):
-        return None
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return mallopt
-
-
-def set_allocator_policy() -> bool:
-    """Keep freed heap memory in the process, so buffers freed on every step
-    are reused without page faults; returns whether the policy is now set.
-
-    Sets glibc's ``M_TRIM_THRESHOLD`` so that the heap is never trimmed, and
-    fixes ``M_MMAP_THRESHOLD`` at 32 MiB, which also stops glibc from moving
-    either threshold on its own (mallopt(3)). Only blocks above 32 MiB, such
-    as the parameter arena, are mapped apart and returned when freed. The
-    policy is process-wide, so it is set only from the main thread, and
-    nothing is done without glibc. Setting it again changes nothing.
-    """
-    mallopt = _glibc_mallopt()
-    if mallopt is None or threading.current_thread() is not threading.main_thread():
-        return False
-    return bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-                and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD))
 
 
 @dataclass
@@ -181,7 +145,7 @@ class Adam:
         m *= b1
         m += np.multiply(1.0 - b1, gi, out=tmp)
         v *= b2
-        v += np.multiply(1.0 - b2, np.multiply(gi, gi, out=tmp), out=tmp)
+        v += np.multiply(1.0 - b2, np.square(gi, out=tmp), out=tmp)
         np.divide(v, self._bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         np.add(tmp, self.eps, out=tmp)
@@ -232,7 +196,9 @@ def _validation_chamfer(net: DeformationNetwork, prepared: list[PreparedPair],
     rng = np.random.default_rng([config.seed, _VAL_STREAM])
     values = []
     for prep in prepared:
-        final = net.forward_parts(Tape(), prep.parts, plans=prep.plans)[-1]
+        tape = Tape()
+        final = net.forward_parts(tape, prep.parts, plans=prep.plans,
+                                  bound=net.bind(tape, requires_grad=False))[-1]
         pred = sample_surface(final.v_out.value, final.faces, config.samples, rng)
         target = sample_surface(prep.target.vertices, prep.target.faces,
                                 config.samples, rng)

@@ -147,6 +147,28 @@ class TestGraphFreeing:
         assert np.array_equal(x.grad, np.ones((2, 1)))
 
 
+class TestConstants:
+    def test_a_node_recorded_from_constants_keeps_nothing(self):
+        t = Tape()
+        x, w = t.leaf(np.array([[1.0, -2.0]])), t.leaf(np.array([[0.5], [1.5]]))
+        nodes = [x.square(), x + x, 3.0 * x, x.sum(), concat_rows([x, x]),
+                 sparse_matmul(sp.csr_array(np.ones((1, 1))), x),
+                 tagcn(x, [w], relu=True)]
+        for node in nodes:
+            assert node._inputs == () and node._vjp is None and not node.requires_grad
+        assert np.array_equal(nodes[-1].value, [[0.0]])  # relu(0.5 - 3)
+
+    def test_constants_beside_a_leaf_leave_its_gradient_unchanged(self):
+        t = Tape()
+        x = t.leaf(np.array([[1.0, -2.0]]), requires_grad=True)
+        c = t.leaf(np.array([[3.0, 4.0]]))
+        cc = c.square()
+        loss = (x.square() + cc).sum()
+        assert cc._inputs == () and loss._inputs != ()
+        loss.backward()
+        assert np.array_equal(x.grad, [[2.0, -4.0]]) and c.grad is None
+
+
 def consumer_graph(consumers):
     """A loss on three leaves: ``a`` is read by two ops, ``b`` by none and
     ``c`` by one. ``consumers`` maps leaf names to gradient consumers. The

@@ -1,11 +1,12 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stdnet import (DeformationNetwork, DimensionError, NetworkConfig, ObbNode,
                     TagcnLayer, Tape, build_adjacency,
-                    load_checkpoint, mesh_cuboid, midpoint_subdivide,
+                    load_checkpoint, make_fixtures, mesh_cuboid, midpoint_subdivide,
                     network_forward, save_checkpoint)
 from stdnet.autodiff import sparse_matmul, tagcn
 from stdnet.errors import DataFormatError
@@ -368,6 +369,81 @@ class TestDeformationBlocks:
 
         report = gradcheck(loss, {n: state[n] for n in names}, tol=1e-5)
         assert report.passed, str(report)
+
+
+def drawn_network(cfg, scale=0.3):
+    """A network with every parameter drawn, biases and coordinate layers included,
+    so every block moves its vertices and every shortcut changes its layer."""
+    net = DeformationNetwork(cfg)
+    rng = np.random.default_rng(5)
+    for p in net.parameters().values():
+        p[...] = rng.normal(0.0, scale, p.shape)
+    return net
+
+
+def reference_block(block, vertices, features, adj, bound):
+    """``DeformationBlock.apply`` keeping every activation in one list:
+    layer i > every with (i - 1) % every == 0 adds activation i - every."""
+    acts, every = [features], block.residual_every
+    for i, layer in enumerate(block.layers, start=1):
+        skip = acts[i - every] if i > every and (i - 1) % every == 0 else None
+        acts.append(layer.apply(acts[-1], adj, bound, skip))
+    return block.coord.apply(acts[-1], adj, bound, vertices), acts[-1]
+
+
+class TestConstantForward:
+    @pytest.mark.parametrize("every", [1, 2, 3])
+    def test_block_adds_the_shortcut_its_rule_names(self, every):
+        cfg = small_config(layers_per_block=7, residual_every=every)
+        net, mesh = drawn_network(cfg), unit_cube_mesh()
+        adj = AdjacencyOperator.from_edges(mesh.n_vertices, mesh.edges, hops=cfg.hops,
+                                           mode=cfg.normalization)
+        tape = Tape()
+        bound = net.bind(tape, requires_grad=False)
+        v = tape.leaf(mesh.vertices)
+        got = net.blocks[0].apply(v, v, adj, bound)
+        want = reference_block(net.blocks[0], v, v, adj, bound)
+        assert [t.value.tobytes() for t in got] == [t.value.tobytes() for t in want]
+
+    @pytest.mark.parametrize("source", ["two-box chair", "subdivided cube"])
+    def test_network_forward_matches_a_recording_forward(self, source):
+        net = drawn_network(small_config(layers_per_block=5), scale=0.1)
+        if source == "two-box chair":
+            meshes = make_fixtures("two-box-chair", seed=0)[0].source_meshes()
+            assert len(meshes) == 2
+        else:
+            meshes = [unit_cube_mesh(2)]
+        recorded = net.forward_parts(Tape(), meshes)
+        assert all(block.v_out.requires_grad for block in recorded)
+        got = network_forward(net, *meshes)
+        assert len(got) == len(recorded) == 3
+        for mesh, block in zip(got, recorded):
+            assert mesh.vertices.tobytes() == block.v_out.value.tobytes()
+            assert np.array_equal(mesh.faces, block.faces)
+        assert not np.array_equal(got[-1].vertices, recorded[-1].v_in.value)
+
+    def test_constant_forward_peaks_at_most_half_of_a_recording_one(self):
+        # cube-to-sphere at source subdivisions 2 (98/386/1538 vertices) and
+        # the default 192 channels: a recording forward keeps every layer's
+        # input and relu mask while its outputs live, a constant one only the
+        # activation a shortcut still reads
+        (pair,) = make_fixtures("cube-to-sphere")
+        meshes = replace(pair, source_subdivisions=2).source_meshes()
+        net = DeformationNetwork(NetworkConfig())
+
+        def peak(forward):
+            tracemalloc.start()
+            try:
+                outputs = forward()
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert outputs[-1].n_vertices == 1538
+            return top
+
+        recording = peak(lambda: net.forward_parts(Tape(), meshes))
+        constant = peak(lambda: network_forward(net, *meshes))
+        assert constant <= recording / 2
 
 
 def reference_init(cfg):

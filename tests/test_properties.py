@@ -1,6 +1,6 @@
 """Property-based tests of the file parsers, the config size rule, the
 OBJ, box-tree and checkpoint round trips, the gradients of the graph ops,
-the in-place relu, layer permutation equivariance, the CLI on corrupted
+the in-place relu, Adam's in-place update, layer permutation equivariance, the CLI on corrupted
 input files, and the subdivision counting law.
 
 Each property runs a fixed, derandomized set of examples, so a failure
@@ -26,6 +26,7 @@ from stdnet.mesh import (NORMALIZATION_MODES, AdjacencyOperator, TriangleMesh, f
                          midpoint_subdivide, parse_obj, write_obj)
 from stdnet.network import (DeformationNetwork, NetworkConfig, TagcnLayer, config_from_dict,
                             load_checkpoint, save_checkpoint)
+from stdnet.train import Adam
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -259,6 +260,38 @@ def test_relu_inplace_matches_where_byte_for_byte(values, columns):
     out = x.copy()
     relu_inplace(out)
     assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+
+
+@PROPERTY
+@given(st.lists(st.floats() | RELU_EDGES, min_size=1, max_size=70), st.integers(1, 3))
+def test_square_into_scratch_matches_multiply_byte_for_byte(values, columns):
+    # Adam squares each gradient with np.square into a scratch buffer
+    x = np.resize(np.array(values), (-(-len(values) // columns), columns))
+    out = np.empty_like(x)
+    with np.errstate(over="ignore"):
+        np.square(x, out=out)
+        assert out.tobytes() == np.multiply(x, x).tobytes()
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * 3), min_size=1, max_size=20),
+       st.floats(0.0, 1.0))
+def test_adam_update_matches_fresh_array_arithmetic(rows, weight_decay):
+    # two steps through the scratch buffers against the same operations,
+    # each writing a fresh array
+    p0, g1, g2 = (np.array([[row[k] for row in rows]]) for k in range(3))
+    opt = Adam({"w": p0.copy()}, lr=1e-3, weight_decay=weight_decay)
+    p, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+    with np.errstate(all="ignore"):
+        for t, g in enumerate((g1, g2), start=1):
+            opt.step({"w": g})
+            gi = g + weight_decay * p
+            m = m * opt.beta1 + (1.0 - opt.beta1) * gi
+            v = v * opt.beta2 + (1.0 - opt.beta2) * (gi * gi)
+            s1 = opt.lr / (1.0 - opt.beta1 ** t)
+            p = p - (m / (np.sqrt(v / (1.0 - opt.beta2 ** t)) + opt.eps)) * s1
+    assert [a.tobytes() for a in (opt.params["w"], opt.m["w"], opt.v["w"])] == \
+        [a.tobytes() for a in (p, m, v)]
 
 
 @settings(PROPERTY, max_examples=60)

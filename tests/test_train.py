@@ -1,5 +1,6 @@
 import functools
 import json
+import os
 import sys
 import threading
 import tracemalloc
@@ -10,14 +11,14 @@ import numpy as np
 import pytest
 
 from stdnet import (Adam, DeformationNetwork, EmptyInputError, NumericalError, Tape,
-                    TrainConfig, make_fixtures, midpoint_subdivide,
+                    TrainConfig, evaluate, make_fixtures, midpoint_subdivide,
                     network_forward, train)
 from stdnet.errors import DataFormatError
 from stdnet.fixtures import FIXTURE_KINDS, DatasetPair, icosphere
 from stdnet.losses import sample_surface, total_loss
 from stdnet.mesh import TriangleMesh, format_obj
-from stdnet.network import load_checkpoint
-from stdnet.train import CURVE_HEADER, set_allocator_policy
+from stdnet.network import load_checkpoint, set_allocator_policy
+from stdnet.train import CURVE_HEADER
 
 
 def tiny_config(**overrides):
@@ -456,8 +457,8 @@ class TestTrain:
         validation = train_module._validation_chamfer
         refs, seen = [], []
 
-        def recording_bind(tape):
-            bound = bind(tape)
+        def recording_bind(tape, requires_grad=True):
+            bound = bind(tape, requires_grad)
             refs.extend(weakref.ref(t) for t in bound.values())
             return bound
 
@@ -614,7 +615,7 @@ class TestBackwardFreesTheGraph:
 class TestAllocatorPolicy:
     def test_does_nothing_off_the_main_thread(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(sys.modules["stdnet.train"], "_glibc_mallopt",
+        monkeypatch.setattr(sys.modules["stdnet.network"], "_glibc_mallopt",
                             lambda: lambda *args: calls.append(args) or 1)
         results = []
         worker = threading.Thread(target=lambda: results.append(set_allocator_policy()))
@@ -624,16 +625,47 @@ class TestAllocatorPolicy:
         assert set_allocator_policy() is True and len(calls) == 2
 
     def test_does_nothing_without_mallopt(self, monkeypatch):
-        monkeypatch.setattr(sys.modules["stdnet.train"], "_glibc_mallopt", lambda: None)
+        monkeypatch.setattr(sys.modules["stdnet.network"], "_glibc_mallopt", lambda: None)
         assert set_allocator_policy() is False
 
     def test_a_refused_setting_is_reported(self, monkeypatch):
-        monkeypatch.setattr(sys.modules["stdnet.train"], "_glibc_mallopt",
+        monkeypatch.setattr(sys.modules["stdnet.network"], "_glibc_mallopt",
                             lambda: lambda *args: 0)
         assert set_allocator_policy() is False
 
+    @staticmethod
+    def thread_recording_mallopt(monkeypatch):
+        """A fake glibc whose lookups and ``mallopt`` calls note their thread."""
+        lookups, calls = [], []
+
+        def lookup():
+            lookups.append(threading.current_thread())
+            return lambda *args: calls.append(threading.current_thread()) or 1
+
+        monkeypatch.setattr(sys.modules["stdnet.network"], "_glibc_mallopt", lookup)
+        return lookups, calls
+
+    def test_network_forward_sets_it(self, monkeypatch):
+        lookups, calls = self.thread_recording_mallopt(monkeypatch)
+        (pair,) = make_fixtures("cube-to-sphere")
+        network_forward(DeformationNetwork(tiny_config().network_config()),
+                        *pair.source_meshes())
+        assert lookups == [threading.main_thread()]
+        assert calls == [threading.main_thread()] * 2
+
+    def test_evaluate_sets_it_from_the_main_thread_only(self, monkeypatch):
+        # each pool worker runs network_forward, which must leave the
+        # process-wide setting to the thread that called evaluate
+        lookups, calls = self.thread_recording_mallopt(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pairs = make_fixtures("box-to-ellipsoid")
+        assert len(pairs) >= 2
+        evaluate(DeformationNetwork(tiny_config().network_config()), pairs, resolution=8)
+        assert lookups and calls
+        assert set(lookups) | set(calls) == {threading.main_thread()}
+
     def test_setting_twice_is_harmless(self):
-        expected = sys.modules["stdnet.train"]._glibc_mallopt() is not None
+        expected = sys.modules["stdnet.network"]._glibc_mallopt() is not None
         assert set_allocator_policy() is expected
         assert set_allocator_policy() is expected
         (pair,) = make_fixtures("cube-to-sphere")
