@@ -56,27 +56,23 @@ def _build_parser() -> _Parser:
     p.add_argument("kind", choices=FIXTURE_KINDS)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_bounded(int, 0), default=0)
-    p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("meshbox", help="mesh a bounding-box JSON file into an OBJ")
     p.add_argument("box_json")
     p.add_argument("--out", required=True)
     p.add_argument("--subdivisions", type=_bounded(int, 0), default=0)
-    p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("train", help="train on a fixtures directory or builtin kind")
     p.add_argument("dataset", help="fixtures directory or one of: " + ", ".join(FIXTURE_KINDS))
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--seed", type=_bounded(int, 0))
-    p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("deform", help="run a checkpoint on a box JSON or OBJ mesh")
     p.add_argument("checkpoint")
     p.add_argument("source", help="bounding-box JSON or OBJ mesh")
     p.add_argument("--out", required=True)
     p.add_argument("--subdivisions", type=_bounded(int, 0), default=0)
-    p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     p.add_argument("checkpoint")
@@ -86,16 +82,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--resolution", type=_bounded(int, 8, high=MAX_RESOLUTION),
                    default=32)
     p.add_argument("--threshold", type=_bounded(float, 0.0, strict=True), default=1e-4)
-    p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("gradcheck", help="compare tape gradients to finite differences")
     p.add_argument("--seed", type=_bounded(int, 0), default=0)
-    p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("subdivide", help="one midpoint-subdivision round of an OBJ")
     p.add_argument("obj")
     p.add_argument("--out", required=True)
-    p.add_argument("--quiet", action="store_true")
+
+    for p in sub.choices.values():
+        p.add_argument("--quiet", action="store_true")
     return parser
 
 

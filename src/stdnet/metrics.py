@@ -15,7 +15,7 @@ from .errors import EmptyInputError, NumericalError
 from .fixtures import DatasetPair
 from .losses import kdtree, nearest_neighbors, sample_surface
 from .mesh import TriangleMesh
-from .network import DeformationNetwork, network_forward, set_allocator_policy
+from .network import DeformationNetwork, network_forward
 
 F1_SAMPLES = 2500
 # (face, cell) rows per separating-axis chunk: the temporaries stay in cache.
@@ -112,6 +112,12 @@ def surface_voxels(mesh: TriangleMesh, origin: np.ndarray, cell: float,
         first, last = np.searchsorted(ends, [start, stop - 1], side="right")
         if first == last:
             # Rows of one face: its constants broadcast instead of being gathered.
+            # Both branches give the same grid, and the same time on small faces
+            # (the fixture targets at resolution 32). A face spanning many chunks
+            # pays for the gather: on the two faces of the test
+            # test_memory_bounded_on_faces_spanning_the_grid (resolution 128) it
+            # took 704 ms against 428 ms, median of 10, slower in 10 of 10 on a
+            # 2-core Xeon. Keep this branch.
             fid = slice(first, first + 1)
             local = np.arange(start, stop) - starts[first]
         else:
@@ -214,8 +220,7 @@ def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
     F1_SAMPLES points are drawn from each. Point sampling is seeded per pair,
     so repeated calls with the same seed reproduce every number. Pairs are
     evaluated in parallel, one thread per CPU the process may run on, and
-    reported in input order. ``set_allocator_policy()`` is called first, as
-    ``train`` does, and each pair runs ``network_forward``.
+    reported in input order. Each pair runs ``network_forward``.
     """
     if not dataset:
         raise EmptyInputError("evaluate needs a non-empty dataset")
@@ -238,10 +243,8 @@ def evaluate(net: DeformationNetwork, dataset: list[DatasetPair], *,
                             threshold, iou, resolution,
                             iou_mode="volume" if watertight else "surface")
 
-    # Process-global steps run here, not in a worker: an import mutates
-    # sys.modules, and the allocator policy is set from the main thread only.
+    # Imported here, not in a worker: an import mutates sys.modules.
     kdtree()
-    set_allocator_policy()
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:

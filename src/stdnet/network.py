@@ -274,6 +274,9 @@ class DeformationNetwork:
     Every parameter is a view into ``arena``, one contiguous little-endian
     float64 buffer laid out in ``parameters()`` order, which is also the
     checkpoint payload's order.
+
+    Building or loading one sets the process-wide ``set_allocator_policy``,
+    from the main thread only: a network built on another thread changes nothing.
     """
 
     def __init__(self, config: NetworkConfig | None = None):
@@ -289,6 +292,7 @@ class DeformationNetwork:
         return net
 
     def _allocate(self, config: NetworkConfig, rng: np.random.Generator | None) -> None:
+        set_allocator_policy()
         self.config = config
         # Zeroed through calloc: a buffer this size is a fresh mapping, so the
         # zeros cost nothing until a page is written.
@@ -398,11 +402,8 @@ def network_forward(net: DeformationNetwork, *meshes: TriangleMesh) -> list[Tria
     """Predicted mesh of every block, for one mesh or several parts joined in order.
 
     The read-only entry point. The parameters are bound as constants, so the
-    pass records no graph and keeps only the activations a shortcut still
-    needs. It first calls ``set_allocator_policy()``, which is process-wide,
-    so the freed activations are reused by the next call without page faults.
+    pass records no graph and keeps only the activations a shortcut still needs.
     """
-    set_allocator_policy()
     tape = Tape()
     blocks = net.forward_parts(tape, list(meshes), bound=net.bind(tape, requires_grad=False))
     return [out.mesh() for out in blocks]

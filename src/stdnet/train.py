@@ -15,7 +15,7 @@ from .fixtures import DatasetPair
 from .losses import chamfer_loss, sample_surface, total_loss
 from .mesh import TriangleMesh
 from .network import (ArchitectureConfig, DeformationNetwork, ForwardPlan, NetworkConfig,
-                      config_from_dict, save_checkpoint, set_allocator_policy)
+                      config_from_dict, save_checkpoint)
 
 CURVE_HEADER = "iteration,l_cd,l_lap,l_edge,L_all,val_cd"
 _VAL_STREAM = 2  # train draws use seed stream 1, validation stream 2
@@ -252,11 +252,7 @@ def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConf
     the best snapshot is restored into the network (and written to
     ``out_dir``) at the end. A non-finite loss, gradient or validation chamfer
     aborts with the best checkpoint retained.
-
-    It first calls ``set_allocator_policy()``, which is process-wide: the
-    policy stays set after ``train`` returns.
     """
-    set_allocator_policy()
     config.validate()
     if not dataset:
         raise EmptyInputError("training needs a non-empty dataset")

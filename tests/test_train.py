@@ -17,7 +17,7 @@ from stdnet.errors import DataFormatError
 from stdnet.fixtures import FIXTURE_KINDS, DatasetPair, icosphere
 from stdnet.losses import sample_surface, total_loss
 from stdnet.mesh import TriangleMesh, format_obj
-from stdnet.network import load_checkpoint, set_allocator_policy
+from stdnet.network import load_checkpoint, save_checkpoint, set_allocator_policy
 from stdnet.train import CURVE_HEADER
 
 
@@ -645,7 +645,7 @@ class TestAllocatorPolicy:
         monkeypatch.setattr(sys.modules["stdnet.network"], "_glibc_mallopt", lookup)
         return lookups, calls
 
-    def test_network_forward_sets_it(self, monkeypatch):
+    def test_building_a_network_sets_it_once_for_its_forward(self, monkeypatch):
         lookups, calls = self.thread_recording_mallopt(monkeypatch)
         (pair,) = make_fixtures("cube-to-sphere")
         network_forward(DeformationNetwork(tiny_config().network_config()),
@@ -653,16 +653,47 @@ class TestAllocatorPolicy:
         assert lookups == [threading.main_thread()]
         assert calls == [threading.main_thread()] * 2
 
-    def test_evaluate_sets_it_from_the_main_thread_only(self, monkeypatch):
-        # each pool worker runs network_forward, which must leave the
-        # process-wide setting to the thread that called evaluate
+    def test_evaluate_workers_leave_it_to_the_network_build(self, monkeypatch):
+        # the one lookup is the network's build on the main thread; the pool
+        # workers running network_forward make none
         lookups, calls = self.thread_recording_mallopt(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         pairs = make_fixtures("box-to-ellipsoid")
         assert len(pairs) >= 2
         evaluate(DeformationNetwork(tiny_config().network_config()), pairs, resolution=8)
-        assert lookups and calls
-        assert set(lookups) | set(calls) == {threading.main_thread()}
+        assert lookups == [threading.main_thread()]
+        assert calls == [threading.main_thread()] * 2
+
+    def test_only_building_or_loading_a_network_sets_it(self, monkeypatch):
+        cfg = tiny_config(iterations=2)
+        net = DeformationNetwork(cfg.network_config())
+        lookups, calls = self.thread_recording_mallopt(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        (pair,) = make_fixtures("cube-to-sphere")
+        train(net, [pair], cfg)
+        network_forward(net, *pair.source_meshes())
+        pairs = make_fixtures("box-to-ellipsoid")[:2]
+        assert len(pairs) == 2
+        evaluate(net, pairs, resolution=8)
+        assert lookups == [] and calls == []
+
+    def test_load_checkpoint_sets_it_from_the_main_thread(self, monkeypatch, tmp_path):
+        path = tmp_path / "net.stdn"
+        save_checkpoint(path, DeformationNetwork(tiny_config().network_config()))
+        lookups, calls = self.thread_recording_mallopt(monkeypatch)
+        load_checkpoint(path)
+        assert lookups == [threading.main_thread()]
+        assert calls == [threading.main_thread()] * 2
+
+    def test_a_network_built_off_the_main_thread_leaves_it(self, monkeypatch):
+        lookups, calls = self.thread_recording_mallopt(monkeypatch)
+        nets = []
+        worker = threading.Thread(
+            target=lambda: nets.append(DeformationNetwork(tiny_config().network_config())))
+        worker.start()
+        worker.join()
+        assert len(nets) == 1
+        assert lookups == [] and calls == []
 
     def test_setting_twice_is_harmless(self):
         expected = sys.modules["stdnet.network"]._glibc_mallopt() is not None
