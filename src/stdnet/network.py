@@ -9,6 +9,7 @@ unpooled: one new vertex per edge midpoint, each face split into four.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import json
 import math
@@ -410,22 +411,41 @@ def network_forward(net: DeformationNetwork, *meshes: TriangleMesh) -> list[Tria
 
 
 def save_checkpoint(path, net: DeformationNetwork) -> None:
+    """Write ``net`` to ``path`` as a checkpoint (``write_checkpoint``).
+
+    The bytes go to ``path`` + ``.tmp``, which is then renamed over ``path``,
+    so ``path`` never holds a partial checkpoint if the process dies or a
+    write fails; the temporary is removed on failure. There is no fsync, so
+    a power loss may still lose the last write.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            write_checkpoint(fh, net)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_checkpoint(fh, net: DeformationNetwork) -> None:
     """Binary checkpoint: magic, length-prefixed JSON header, raw parameters.
 
     The header lists parameter names and shapes in order; the payload is the
     network's arena, the concatenation of the arrays as little-endian float64,
-    giving a bit-exact round trip.
+    giving a bit-exact round trip. The payload is written from the arena
+    itself, with no copy, and ends the checkpoint.
     """
     header = {
         "config": asdict(net.config),
         "params": [{"name": n, "shape": list(a.shape)} for n, a in net.parameters().items()],
     }
     blob = json.dumps(header).encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        fh.write(net.arena)
+    fh.write(CHECKPOINT_MAGIC)
+    fh.write(len(blob).to_bytes(8, "little"))
+    fh.write(blob)
+    fh.write(net.arena)
 
 
 def load_checkpoint(path) -> DeformationNetwork:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import tempfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -15,7 +16,7 @@ from .fixtures import DatasetPair
 from .losses import chamfer_loss, sample_surface, total_loss
 from .mesh import TriangleMesh
 from .network import (ArchitectureConfig, DeformationNetwork, ForwardPlan, NetworkConfig,
-                      config_from_dict, save_checkpoint)
+                      config_from_dict, save_checkpoint, write_checkpoint)
 
 CURVE_HEADER = "iteration,l_cd,l_lap,l_edge,L_all,val_cd"
 _VAL_STREAM = 2  # train draws use seed stream 1, validation stream 2
@@ -249,9 +250,12 @@ def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConf
     block), sums the hybrid loss over blocks and pairs, and backpropagates,
     taking one Adam step inside the sweep. Validation chamfer is measured
     before training and every ``eval_every`` iterations with fixed draws, and
-    the best snapshot is restored into the network (and written to
-    ``out_dir``) at the end. A non-finite loss, gradient or validation chamfer
-    aborts with the best checkpoint retained.
+    the best snapshot is restored into the network at the end. With
+    ``out_dir``, ``checkpoint.stdn`` holds the best parameters so far from
+    before the first step on, and is never half-written: a failed write
+    raises ``OSError`` and leaves the previous one. A non-finite loss,
+    gradient or validation chamfer aborts with the best snapshot restored and
+    its checkpoint retained.
     """
     config.validate()
     if not dataset:
@@ -269,40 +273,57 @@ def train(net: DeformationNetwork, dataset: list[DatasetPair], config: TrainConf
     initial_val = _validation_chamfer(net, prepared, config)
     if not np.isfinite(initial_val):
         raise NumericalError("non-finite validation chamfer before training")
-    best_val, best_iteration, best = initial_val, 0, net.arena.copy()
-    rows = [(0, "", "", "", "", repr(initial_val))]
-    if log:
-        log(f"iteration 0: val_cd={initial_val:.6g}")
+    # The best parameters so far live in a checkpoint file, not in memory:
+    # the run's own, replaced whole on each save, or an anonymous one
+    # rewritten in place. The arena is written from itself and read back
+    # into itself, so no second arena-sized buffer is made.
+    snapshot = None if checkpoint_path else tempfile.TemporaryFile()
+
+    def save_best():
+        if snapshot is None:
+            save_checkpoint(checkpoint_path, net)
+        else:
+            snapshot.seek(0)
+            write_checkpoint(snapshot, net)
 
     def finish(aborted=False):
-        np.copyto(net.arena, best)
-        if checkpoint_path:
-            save_checkpoint(checkpoint_path, net)
+        with open(checkpoint_path, "rb") if snapshot is None else snapshot as fh:
+            fh.seek(-net.arena.nbytes, os.SEEK_END)  # the arena ends the file
+            if fh.readinto(net.arena) != net.arena.nbytes:
+                raise DataFormatError("the best snapshot ends inside its parameters")
         if curve_path:
             _write_curve(curve_path, rows)
         if not aborted and log:
             log(f"best val_cd={best_val:.6g} at iteration {best_iteration}")
 
-    for it in range(1, config.iterations + 1):
-        try:
-            cd, lap, edge, total = _step(net, prepared, optimizer, config, it)
-            val_repr = ""
-            if it % config.eval_every == 0 or it == config.iterations:
-                val = _validation_chamfer(net, prepared, config)
-                if not np.isfinite(val):
-                    raise NumericalError(f"non-finite validation chamfer at iteration {it}")
-                val_repr = repr(val)
-                if val < best_val:
-                    best_val, best_iteration = val, it
-                    np.copyto(best, net.arena)
-                if log:
-                    log(f"iteration {it}: L_all={total:.6g} val_cd={val:.6g}")
-        except NumericalError:
-            finish(aborted=True)
-            raise
-        rows.append((it, repr(cd), repr(lap), repr(edge), repr(total), val_repr))
-
-    finish()
+    try:
+        save_best()
+        best_val, best_iteration = initial_val, 0
+        rows = [(0, "", "", "", "", repr(initial_val))]
+        if log:
+            log(f"iteration 0: val_cd={initial_val:.6g}")
+        for it in range(1, config.iterations + 1):
+            try:
+                cd, lap, edge, total = _step(net, prepared, optimizer, config, it)
+                val_repr = ""
+                if it % config.eval_every == 0 or it == config.iterations:
+                    val = _validation_chamfer(net, prepared, config)
+                    if not np.isfinite(val):
+                        raise NumericalError(f"non-finite validation chamfer at iteration {it}")
+                    val_repr = repr(val)
+                    if val < best_val:
+                        best_val, best_iteration = val, it
+                        save_best()
+                    if log:
+                        log(f"iteration {it}: L_all={total:.6g} val_cd={val:.6g}")
+            except NumericalError:
+                finish(aborted=True)
+                raise
+            rows.append((it, repr(cd), repr(lap), repr(edge), repr(total), val_repr))
+        finish()
+    finally:
+        if snapshot is not None:  # finish() closed it, unless the run failed otherwise
+            snapshot.close()
     return TrainResult(initial_val, best_val, best_iteration, rows,
                        checkpoint_path, curve_path)
 

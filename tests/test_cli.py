@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import platform
@@ -292,6 +293,49 @@ class TestTrainDeformEval:
         cfg = small_train_config(tmp_path, lr=1e200, iterations=3)
         assert main(["train", str(fx), "--out", str(tmp_path / "run"),
                      "--config", str(cfg), "--quiet"]) == 3
+
+    def test_train_onto_a_checkpoint_directory_is_data_error_before_any_step(
+            self, tmp_path, capsys, monkeypatch):
+        # the checkpoint is first written before the first step, so a path
+        # that cannot take it fails the run then, not after the last step
+        monkeypatch.setattr(sys.modules["stdnet.train"], "_step",
+                            lambda *args: pytest.fail("a training step ran"))
+        run = tmp_path / "run"
+        (run / "checkpoint.stdn").mkdir(parents=True)
+        cfg = small_train_config(tmp_path)
+        assert main(["train", "cube-to-sphere", "--out", str(run), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("stdnet: error:") and err.count("\n") == 1
+        assert sorted(os.listdir(run)) == ["checkpoint.stdn"]
+
+    def test_train_write_failure_keeps_the_previous_checkpoint(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the disk fills up halfway through the second improvement's write:
+        # exit 2, with the first improvement's checkpoint whole and no temporary
+        network_module = sys.modules["stdnet.network"]
+        write = network_module.write_checkpoint
+        run = tmp_path / "run"
+        previous = []
+
+        def filling_write(fh, net):
+            previous.append((run / "checkpoint.stdn").read_bytes() if previous else b"")
+            if len(previous) == 3:  # iteration 0, then two improvements
+                fh.write(b"STDN")
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            write(fh, net)
+
+        values = iter([5.0, 4.0, 3.0])
+        monkeypatch.setattr(network_module, "write_checkpoint", filling_write)
+        monkeypatch.setattr(sys.modules["stdnet.train"], "_validation_chamfer",
+                            lambda *args: next(values))
+        cfg = small_train_config(tmp_path, iterations=4)
+        assert main(["train", "cube-to-sphere", "--out", str(run), "--config", str(cfg),
+                     "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"stdnet: error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        assert len(previous) == 3 and previous[2] != previous[1]
+        assert (run / "checkpoint.stdn").read_bytes() == previous[2]
+        assert sorted(os.listdir(run)) == ["checkpoint.stdn"]
 
     def test_deform_obj_source(self, tmp_path):
         mesh = make_fixtures("cube-to-sphere")[0].source_meshes()[0]

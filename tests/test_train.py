@@ -446,6 +446,49 @@ class TestTrain:
         curve = (tmp_path / "curve.csv").read_text().splitlines()
         assert len(curve) == 3  # header, row 0 and iteration 1
 
+    def test_checkpoint_on_disk_is_the_best_so_far(self, tmp_path, monkeypatch):
+        # a run killed at any validation leaves a whole checkpoint of the best
+        # parameters so far: written before the first step, replaced on each
+        # improvement, kept on the others, and never beside a temporary
+        train_module = sys.modules["stdnet.train"]
+        (pair,) = make_fixtures("cube-to-sphere")
+        cfg = tiny_config(iterations=5, eval_every=1)
+        net = DeformationNetwork(cfg.network_config())
+        values = iter([5.0, 4.0, 4.5, 3.0, 3.5, 2.0])  # improves at 1, 3 and 5
+        checkpoint = tmp_path / "checkpoint.stdn"
+        best, checked = [], []  # (value, arena bytes) at iteration 0 and each improvement
+
+        def checking_validation(*args):
+            if best:
+                assert sorted(os.listdir(tmp_path)) == ["checkpoint.stdn"]
+                checked.append(load_checkpoint(checkpoint).arena.tobytes() == best[-1][1])
+            value = next(values)
+            if not best or value < best[-1][0]:
+                best.append((value, net.arena.tobytes()))
+            return value
+
+        monkeypatch.setattr(train_module, "_validation_chamfer", checking_validation)
+        result = train(net, [pair], cfg, out_dir=tmp_path)
+        assert result.best_iteration == 5 and len({arena for _, arena in best}) == 4
+        assert checked == [True] * 5
+        assert load_checkpoint(checkpoint).arena.tobytes() == best[-1][1] == net.arena.tobytes()
+        assert sorted(os.listdir(tmp_path)) == ["checkpoint.stdn", "curve.csv"]
+
+    def test_training_holds_no_fourth_parameter_sized_buffer(self):
+        # the arena exists before tracing starts, so Adam's m and v are two
+        # arena sizes of the traced peak; a best snapshot held in memory
+        # would be a third, and the rest of a step is a fraction of one
+        (pair,) = make_fixtures("cube-to-sphere")
+        cfg = TrainConfig(iterations=2, eval_every=1)
+        net = DeformationNetwork(cfg.network_config())
+        tracemalloc.start()
+        try:
+            train(net, [pair], cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * net.arena.nbytes
+
     def test_finished_step_is_freed_before_validation(self, monkeypatch):
         # the loss graph and weight leaves of the step just taken must be
         # unreachable while validation runs
